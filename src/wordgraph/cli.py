@@ -207,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="exact optimal exploration (small graphs)")
     word_file_args(p)
     p.add_argument("--start", required=True, help="start vertex token")
-    p.add_argument("--limit", type=int, default=15, help="vertex count guard")
+    p.add_argument("--limit", type=int, default=15, help="vertex count guard (at most 16)")
     p.set_defaults(handler=_cmd_oracle)
 
     p = sub.add_parser("gen", help="generate a family word")
@@ -257,9 +257,14 @@ def run_cli(argv=None) -> int:
     try:
         return args.handler(args)
     except ValueError as exc:
-        kind = _ERROR_KINDS.get(type(exc), "invalid-arguments")
-        sys.stderr.write(json.dumps({"error": kind, "message": str(exc)}) + "\n")
-        return 1
+        return _fail(_ERROR_KINDS.get(type(exc), "invalid-arguments"), exc)
+    except OSError as exc:
+        return _fail("io-error", exc)
+
+
+def _fail(kind: str, exc: Exception) -> int:
+    sys.stderr.write(json.dumps({"error": kind, "message": str(exc)}) + "\n")
+    return 1
 
 
 def main() -> None:

@@ -19,6 +19,7 @@ timesteps.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .graphs import (
@@ -37,6 +38,9 @@ MODE_GENERAL = "general"
 MODE_AUTO = "auto"
 
 Step = tuple[tuple[Symbol, Symbol], int]
+
+# Largest vertex_limit oracle_explore accepts; its search holds up to 2^n * n states.
+ORACLE_MAX_VERTICES = 16
 
 
 @dataclass(frozen=True)
@@ -198,56 +202,86 @@ def oracle_explore(
 ) -> OracleResult:
     """Exact minimum exploration length from ``start``, with a witness.
 
-    Dijkstra over (visited set, current vertex) states with arrival time as
-    cost; transitions take the next activation of each incident edge. Returns
-    an infeasible result when no full-coverage state is reachable within the
-    lifetime. Refuses graphs larger than ``vertex_limit`` vertices, since the
-    state space is 2^n * n.
+    A* over (visited set, current vertex) states with arrival time as cost;
+    transitions take the next activation of each incident edge. Each move
+    costs at least one timestep and visits at most one new vertex, so the
+    unvisited count is a consistent lower bound on the time still needed.
+    A completed ``schedule_explore`` run is an upper bound, returned as is
+    when it meets the lower bound ``n - 1``. Disconnected graphs are
+    infeasible. Refuses more than ``vertex_limit`` vertices, and limits
+    above ``ORACLE_MAX_VERTICES``, since the state space is 2^n * n.
     """
+    if vertex_limit > ORACLE_MAX_VERTICES:
+        raise ValueError(
+            f"oracle refused: a vertex limit of {vertex_limit} exceeds the "
+            f"maximum of {ORACLE_MAX_VERTICES}"
+        )
     graph = tg.base
     graph.require_vertex(start)
-    n = len(graph.vertices)
+    vertices = graph.vertices
+    n = len(vertices)
     if n > vertex_limit:
         raise ValueError(
             f"oracle refused: {n} vertices exceeds the limit of {vertex_limit}"
         )
-    index = {v: i for i, v in enumerate(graph.vertices)}
-    full = (1 << n) - 1
-    start_mask = 1 << index[start]
-    if full == start_mask:
+    if n == 1:
         return OracleResult(0, Schedule(start))
+    try:
+        # Naming a mode skips the always-connected scan; it only labels results.
+        scheduled = schedule_explore(tg, start, MODE_GENERAL)
+    except DisconnectedGraphError:
+        return OracleResult(None, None)
+    upper = scheduled.schedule.length if scheduled.visited_all else tg.lifetime
+    if scheduled.visited_all and upper == n - 1:
+        return OracleResult(upper, scheduled.schedule)
 
-    best: dict[tuple[int, Symbol], int] = {(start_mask, start): 0}
-    parent: dict[tuple[int, Symbol], tuple[int, Symbol, int]] = {}
-    heap: list[tuple[int, int, int]] = [(0, start_mask, index[start])]
-    by_index = graph.vertices
-    goal: tuple[int, Symbol] | None = None
+    # Vertex ids follow token order, so each row lists (neighbour id, its
+    # bit, activation times) in token order.
+    index = {v: i for i, v in enumerate(vertices)}
+    times = tg._activation_times
+    rows = [
+        [
+            (index[u], 1 << index[u], times[make_edge(v, u)])
+            for u in sorted(graph.adjacency[v])
+        ]
+        for v in vertices
+    ]
+    full = (1 << n) - 1
+    start_key = (1 << index[start]) * n + index[start]
+    # States are keyed by mask * n + vertex id; the heap orders them by
+    # (time + unvisited count, later time first, key).
+    best = {start_key: 0}
+    parent: dict[int, int] = {}
+    heap = [(n - 1, 0, start_key)]
     while heap:
-        t, mask, vi = heapq.heappop(heap)
-        v = by_index[vi]
-        if best.get((mask, v), -1) != t:
+        _, neg_t, key = heapq.heappop(heap)
+        t = -neg_t
+        if best[key] != t:
             continue
+        mask, v = divmod(key, n)
         if mask == full:
-            goal = (mask, v)
             break
-        for u in sorted(graph.adjacency[v]):
-            t_next = next_activation(tg, (v, u), t)
-            if t_next is None:
+        unvisited = n - mask.bit_count()
+        for u, bit, ts in rows[v]:
+            if t >= ts[-1]:
                 continue
-            state = (mask | (1 << index[u]), u)
-            if state not in best or t_next < best[state]:
+            t_next = ts[bisect_right(ts, t)]
+            f = t_next + (unvisited if mask & bit else unvisited - 1)
+            if f > upper:
+                continue
+            state = (mask | bit) * n + u
+            if t_next < best.get(state, upper + 1):
                 best[state] = t_next
-                parent[state] = (mask, v, t_next)
-                heapq.heappush(heap, (t_next, state[0], index[u]))
-    if goal is None:
+                parent[state] = key
+                heapq.heappush(heap, (f, -t_next, state))
+    else:
         return OracleResult(None, None)
 
     steps: list[Step] = []
-    state = goal
-    while state in parent:
-        prev_mask, prev_v, t = parent[state]
-        steps.append(((prev_v, state[1]), t))
-        state = (prev_mask, prev_v)
+    while key != start_key:
+        prev = parent[key]
+        steps.append(((vertices[prev % n], vertices[key % n]), best[key]))
+        key = prev
     steps.reverse()
     schedule = Schedule(start, tuple(steps))
     return OracleResult(schedule.length, schedule)

@@ -73,10 +73,15 @@ def temporal_to_document(tg: TemporalGraph) -> dict[str, Any]:
     return doc
 
 
+def _dot_id(sym: Symbol) -> str:
+    """A DOT quoted string holding the token; backslash and quote escaped."""
+    return '"' + sym.token.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def _graph_to_dot(graph: StaticGraph) -> str:
     lines = ["graph {"]
-    lines.extend(f'  "{v.token}";' for v in sorted(graph.vertices))
-    lines.extend(f'  "{u.token}" -- "{v.token}";' for u, v in sorted(graph.edges))
+    lines.extend(f"  {_dot_id(v)};" for v in sorted(graph.vertices))
+    lines.extend(f"  {_dot_id(u)} -- {_dot_id(v)};" for u, v in sorted(graph.edges))
     lines.append("}")
     return "\n".join(lines) + "\n"
 

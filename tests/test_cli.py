@@ -134,6 +134,22 @@ class TestOracle:
         assert code == 1
         assert "exceeds the limit" in json.loads(err)["message"]
 
+    def test_limit_above_the_maximum_fails_closed(self, capsys, word_file):
+        path = word_file("1 2 1 3 2 3\n")
+        code, out, err = run(capsys, "oracle", path, "--start", "1", "--limit", "40")
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        doc = json.loads(err)
+        assert doc["error"] == "invalid-arguments"
+        assert "exceeds the maximum of 16" in doc["message"]
+
+    def test_disconnected_word_is_infeasible(self, capsys, word_file):
+        path = word_file("a a b b\n")
+        code, out, _ = run(capsys, "oracle", path, "--start", "a")
+        assert code == 0
+        assert json.loads(out) == {"start": "a", "infeasible": True}
+
 
 class TestVerify:
     def test_clean_word_exits_zero(self, capsys, word_file):
@@ -239,6 +255,16 @@ class TestBench:
         )
         assert code == 1
         assert json.loads(err)["error"] == "parse-error"
+
+    def test_missing_output_directory_is_io_error(self, capsys, tmp_path):
+        out_csv = tmp_path / "missing" / "bench.csv"
+        code, out, err = run(
+            capsys, "bench", "--family", "path", "--n-range", "4:4", "--csv", str(out_csv)
+        )
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "io-error"
 
 
 class TestUsageErrors:

@@ -82,6 +82,12 @@ class TestGraphDocuments:
         assert dot.count("--") == 3
         assert '"1" -- "2";' in dot
 
+    def test_dot_escapes_quotes_and_backslashes(self):
+        graph = build_graph(Word.from_tokens(['a"b', "a\\", 'a"b', "a\\"]))
+        assert emit_graph(graph, fmt="dot") == (
+            'graph {\n  "a\\"b";\n  "a\\\\";\n  "a\\"b" -- "a\\\\";\n}\n'
+        )
+
     def test_dot_for_temporal_graph_renders_underlying(self):
         tg = build_temporal(Word.from_chars("121323"))
         assert emit_graph(tg, fmt="dot") == emit_graph(tg.base, fmt="dot")
