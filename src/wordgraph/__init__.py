@@ -63,11 +63,9 @@ from .lemmas import (
 from .temporal import (
     TemporalGraph,
     build_temporal,
-    is_always_connected,
     is_edge_active,
     next_activation,
     start_points,
-    underlying,
 )
 from .words import Symbol, Word, alternates, occurrence_indices, power, project
 
@@ -95,8 +93,6 @@ __all__ = [
     "build_temporal",
     "is_edge_active",
     "next_activation",
-    "underlying",
-    "is_always_connected",
     "Schedule",
     "ScheduleViolation",
     "ExplorationResult",

@@ -67,8 +67,7 @@ def _cmd_build(args) -> int:
 def _cmd_explore(args) -> int:
     word = _load_word(args.word_file, args.chars)
     tg = build_temporal(word)
-    mode = {"auto": "auto", "ac": "always-connected", "general": "general"}[args.mode]
-    result = schedule_explore(tg, Symbol(args.start), mode=mode)
+    result = schedule_explore(tg, Symbol(args.start))
     sys.stdout.write(emit_schedule(result.schedule, result.visited_all))
     return 0
 
@@ -128,7 +127,7 @@ def _bench_row(family: str, n: int, d_param: int | None, k: int) -> dict:
     tg = build_temporal(power(base, k))
     start = min(tg.base.vertices)
     result = schedule_explore(tg, start)
-    paper_bound, structural_bound = exploration_bound(tg, mode=result.mode)
+    paper_bound, structural_bound = exploration_bound(tg)
     vertex_count = len(tg.base.vertices)
     oracle_len: int | str = ""
     if vertex_count <= 15:
@@ -201,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("explore", help="run the walk-following scheduler")
     word_file_args(p)
     p.add_argument("--start", required=True, help="start vertex token")
-    p.add_argument("--mode", choices=["auto", "ac", "general"], default="auto")
     p.set_defaults(handler=_cmd_explore)
 
     p = sub.add_parser("oracle", help="exact optimal exploration (small graphs)")

@@ -30,12 +30,8 @@ from .graphs import (
     min_degree,
     spanning_walk,
 )
-from .temporal import TemporalGraph, next_activation
+from .temporal import TemporalGraph, is_edge_active, next_activation
 from .words import Symbol
-
-MODE_ALWAYS_CONNECTED = "always-connected"
-MODE_GENERAL = "general"
-MODE_AUTO = "auto"
 
 Step = tuple[tuple[Symbol, Symbol], int]
 
@@ -70,7 +66,6 @@ class ExplorationResult:
     schedule: Schedule
     visited_all: bool
     waits: tuple[int, ...]
-    mode: str
 
 
 @dataclass(frozen=True)
@@ -93,17 +88,7 @@ class OracleResult:
         return self.schedule is not None
 
 
-def resolve_mode(tg: TemporalGraph, mode: str) -> str:
-    if mode == MODE_AUTO:
-        return MODE_ALWAYS_CONNECTED if tg.always_connected else MODE_GENERAL
-    if mode in (MODE_ALWAYS_CONNECTED, MODE_GENERAL):
-        return mode
-    raise ValueError(f"unknown mode: {mode!r}")
-
-
-def schedule_explore(
-    tg: TemporalGraph, start: Symbol, mode: str = MODE_AUTO
-) -> ExplorationResult:
+def schedule_explore(tg: TemporalGraph, start: Symbol) -> ExplorationResult:
     """Follow a spanning visiting walk, waiting for each edge to activate.
 
     Returns a complete schedule whenever the lifetime suffices; otherwise the
@@ -115,7 +100,6 @@ def schedule_explore(
         raise DisconnectedGraphError(
             "temporal graph is not explorable: underlying graph is disconnected"
         )
-    used_mode = resolve_mode(tg, mode)
     steps: list[Step] = []
     waits: list[int] = []
     now = 0
@@ -127,7 +111,6 @@ def schedule_explore(
                 schedule=partial,
                 visited_all=partial.visited() == frozenset(graph.vertices),
                 waits=tuple(waits),
-                mode=used_mode,
             )
         waits.append(t - now - 1)
         steps.append(((u, v), t))
@@ -137,7 +120,6 @@ def schedule_explore(
         schedule=schedule,
         visited_all=schedule.visited() == frozenset(graph.vertices),
         waits=tuple(waits),
-        mode=used_mode,
     )
 
 
@@ -180,7 +162,7 @@ def validate_schedule(tg: TemporalGraph, schedule: Schedule) -> ScheduleViolatio
                 index,
                 f"step {index} uses ({u}, {v}), not an underlying edge",
             )
-        if edge not in tg.active[t - 1]:
+        if not is_edge_active(tg, edge, t):
             return ScheduleViolation(
                 "edge-inactive",
                 index,
@@ -227,8 +209,7 @@ def oracle_explore(
     if n == 1:
         return OracleResult(0, Schedule(start))
     try:
-        # Naming a mode skips the always-connected scan; it only labels results.
-        scheduled = schedule_explore(tg, start, MODE_GENERAL)
+        scheduled = schedule_explore(tg, start)
     except DisconnectedGraphError:
         return OracleResult(None, None)
     upper = scheduled.schedule.length if scheduled.visited_all else tg.lifetime
@@ -287,10 +268,12 @@ def oracle_explore(
     return OracleResult(schedule.length, schedule)
 
 
-def exploration_bound(tg: TemporalGraph, mode: str = MODE_AUTO) -> tuple[int, int]:
+def exploration_bound(tg: TemporalGraph, mode: str = "auto") -> tuple[int, int]:
     """(headline bound, structural bound) for the walk-following scheduler.
 
-    Always-connected mode uses B = minimum degree, general mode B = diameter.
+    Always-connected mode uses B = minimum degree, general mode B = diameter;
+    ``mode`` is "always-connected", "general", or "auto", which picks
+    always-connected mode exactly when ``tg.always_connected`` holds.
     The headline figure is 2*B*n; the bound the construction literally
     guarantees is 2(n-1)(B+1), counting at most B+1 timesteps per walk edge.
     """
@@ -299,7 +282,10 @@ def exploration_bound(tg: TemporalGraph, mode: str = MODE_AUTO) -> tuple[int, in
         raise DisconnectedGraphError(
             "exploration bounds are undefined: underlying graph is disconnected"
         )
-    used_mode = resolve_mode(tg, mode)
+    if mode == "auto":
+        mode = "always-connected" if tg.always_connected else "general"
+    elif mode not in ("always-connected", "general"):
+        raise ValueError(f"unknown mode: {mode!r}")
     n = len(graph.vertices)
-    bound_base = min_degree(graph) if used_mode == MODE_ALWAYS_CONNECTED else diameter(graph)
+    bound_base = min_degree(graph) if mode == "always-connected" else diameter(graph)
     return 2 * bound_base * n, 2 * (n - 1) * (bound_base + 1)

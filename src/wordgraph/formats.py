@@ -49,7 +49,9 @@ def emit_word(word: Word) -> str:
 
 
 def _edge_list(edges) -> list[list[str]]:
-    return [[u.token, v.token] for u, v in sorted(edges)]
+    # Symbols order by token, so sorting token pairs gives the same order
+    # without a Python-level comparison per step.
+    return [[u, v] for u, v in sorted((u.token, v.token) for u, v in edges)]
 
 
 def graph_to_document(graph: StaticGraph) -> dict[str, Any]:
@@ -65,10 +67,10 @@ def temporal_to_document(tg: TemporalGraph) -> dict[str, Any]:
     doc["timesteps"] = [
         {
             "range": [lo, hi],
-            "letters": sorted(sym.token for sym in tg.factor_letters[t]),
-            "edges": _edge_list(tg.active[t]),
+            "letters": sorted({sym.token for sym in tg.factor(t).symbols}),
+            "edges": _edge_list(tg.edges_at(t)),
         }
-        for t, (lo, hi) in enumerate(tg.factor_bounds)
+        for t, (lo, hi) in enumerate(tg.factor_bounds, start=1)
     ]
     return doc
 

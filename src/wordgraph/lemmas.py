@@ -28,7 +28,8 @@ Checker ids, their claims, and their witness tuples:
   sets union to the underlying edge set, d the diameter; (b) an edge active
   at t <= T-d-1 is active again within [t+1, t+d+1]; (c) every window of d+1
   consecutive timesteps unions to the underlying edge set. Windows that do
-  not fit inside the lifetime are skipped and noted.
+  not fit inside the lifetime are skipped and noted. Witnesses of (a) are in
+  edge order, of (b) and (c) in (t, u, v) order.
   Witness: ("first-window", u, v) | ("reactivation", u, v, t)
   | ("window-union", t, u, v).
 """
@@ -36,6 +37,7 @@ Checker ids, their claims, and their witness tuples:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 from .graphs import StaticGraph, _bfs_distances, is_connected
 from .temporal import TemporalGraph
@@ -74,6 +76,15 @@ def _all_pairs_distances(graph: StaticGraph) -> dict:
     return {v: _bfs_distances(graph, v) for v in graph.vertices}
 
 
+def _uncovered_windows(times: tuple[int, ...], size: int, lifetime: int):
+    """Ascending starts t of the windows [t, t+size-1] inside [1, lifetime]
+    that hold none of the increasing ``times``."""
+    last = lifetime - size + 1
+    bounds = (0, *times, lifetime + 1)
+    for a, b in zip(bounds, bounds[1:]):
+        yield from range(a + 1, min(b - size, last) + 1)
+
+
 def check_letter_recurrence(tg: TemporalGraph) -> LemmaReport:
     """Every symbol recurs within any degree(v)+1 consecutive factors."""
     if not tg.always_connected:
@@ -86,9 +97,8 @@ def check_letter_recurrence(tg: TemporalGraph) -> LemmaReport:
         if lifetime - span + 1 < 1:
             unfit.append(v.token)
             continue
-        for t in range(1, lifetime - span + 2):
-            if all(v not in tg.factor_letters[s] for s in range(t - 1, t - 1 + span)):
-                violations.append((v.token, t))
+        for t in _uncovered_windows(tg.letter_times[v], span, lifetime):
+            violations.append((v.token, t))
     notes = ""
     if unfit:
         notes = "windows exceed the lifetime for: " + ", ".join(sorted(unfit))
@@ -104,16 +114,16 @@ def check_edge_recurrence(tg: TemporalGraph) -> LemmaReport:
     if not tg.base.edges:
         return _checked(EDGE_RECURRENCE, [], "no edges to check")
     delta = min(len(tg.base.adjacency[v]) for v in tg.base.vertices)
+    times = tg._activation_times
     violations: list[tuple] = []
-    any_window = False
     for u, v in sorted(tg.base.edges):
         local = min(len(tg.base.adjacency[u]), len(tg.base.adjacency[v]))
         for kind, gap in (("delta-window", delta), ("min-degree-window", local)):
-            for t in range(1, lifetime - gap + 1):
-                any_window = True
-                if all((u, v) not in tg.active[s] for s in range(t - 1, t + gap)):
-                    violations.append((kind, u.token, v.token, t))
-    notes = "" if any_window else "no window fits inside the lifetime"
+            for t in _uncovered_windows(times[u, v], gap + 1, lifetime):
+                violations.append((kind, u.token, v.token, t))
+    # delta <= local for every edge, so some window fits exactly when a
+    # delta-window does.
+    notes = "" if lifetime > delta else "no window fits inside the lifetime"
     return _checked(EDGE_RECURRENCE, violations, notes)
 
 
@@ -170,30 +180,38 @@ def check_union_windows(tg: TemporalGraph) -> LemmaReport:
     dia = max(
         max(dist.values()) for dist in _all_pairs_distances(graph).values()
     )
-    edges = graph.edges
+    times = tg._activation_times
+    edges = sorted(graph.edges)
     violations: list[tuple] = []
     skipped: list[str] = []
 
     if dia <= lifetime:
-        seen = frozenset().union(*tg.active[:dia]) if dia else frozenset()
-        for u, v in sorted(edges - seen):
-            violations.append(("first-window", u.token, v.token))
+        for u, v in edges:
+            if times[u, v][0] > dia:
+                violations.append(("first-window", u.token, v.token))
     else:
         skipped.append("first-window")
 
     if lifetime - dia - 1 >= 1:
-        for t in range(1, lifetime - dia):
-            for u, v in sorted(tg.active[t - 1]):
-                if all((u, v) not in tg.active[s] for s in range(t, t + dia + 1)):
-                    violations.append(("reactivation", u.token, v.token, t))
+        late = [
+            (a, u, v)
+            for u, v in edges
+            for a, b in zip(times[u, v], (*times[u, v][1:], inf))
+            if a <= lifetime - dia - 1 and b > a + dia + 1
+        ]
+        for t, u, v in sorted(late):
+            violations.append(("reactivation", u.token, v.token, t))
     else:
         skipped.append("reactivation")
 
     if lifetime - dia >= 1:
-        for t in range(1, lifetime - dia + 1):
-            window = frozenset().union(*tg.active[t - 1 : t + dia])
-            for u, v in sorted(edges - window):
-                violations.append(("window-union", t, u.token, v.token))
+        uncovered = [
+            (t, u, v)
+            for u, v in edges
+            for t in _uncovered_windows(times[u, v], dia + 1, lifetime)
+        ]
+        for t, u, v in sorted(uncovered):
+            violations.append(("window-union", t, u.token, v.token))
     else:
         skipped.append("window-union")
 

@@ -5,7 +5,9 @@ first position whose symbol already occurred in the factor being built. Each
 factor therefore has pairwise distinct symbols, and every closed interval
 between consecutive start points repeats exactly one symbol: the one at the
 later start point. Timestep t activates every underlying edge with at least
-one endpoint among the letters of factor t.
+one endpoint among the letters of factor t, so the temporal graph is fully
+determined by the word's start points and its underlying graph: each edge's
+activation times are the union of its endpoints' letter times.
 """
 
 from __future__ import annotations
@@ -40,16 +42,17 @@ def start_points(word: Word) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class TemporalGraph:
-    """A word together with its timestep partition and per-step edge activity.
+    """A word, its timestep partition and its underlying graph.
 
-    ``active[t-1]`` is the edge set of timestep t (1-based). Immutable after
+    Activity is derived, never stored: timestep t (1-based) activates every
+    edge of ``base`` with an endpoint among the letters of factor t. Every
+    query goes through ``letter_times``, the timesteps at which each vertex
+    is a letter, or through the factor slices of the word. Immutable after
     construction; all queries are read-only.
     """
 
     word: Word
     start_points: tuple[int, ...]
-    factor_letters: tuple[frozenset[Symbol], ...]
-    active: tuple[frozenset[Edge], ...]
     base: StaticGraph
 
     @property
@@ -73,69 +76,63 @@ class TemporalGraph:
             raise ValueError(f"timestep {t} outside [1, {self.lifetime}]")
 
     @cached_property
+    def letter_times(self) -> dict[Symbol, tuple[int, ...]]:
+        """Strictly increasing timesteps whose factor holds each vertex."""
+        starts = self.start_points
+        occurrences = self.word.occurrences
+        return {
+            v: tuple(dict.fromkeys(bisect_right(starts, p) for p in occurrences[v]))
+            for v in self.base.vertices
+        }
+
+    def edges_at(self, t: int) -> frozenset[Edge]:
+        """The edge set of timestep ``t``: every edge incident to a letter of
+        factor t."""
+        adjacency = self.base.adjacency
+        return frozenset(
+            make_edge(sym, nb) for sym in self.factor(t).symbols for nb in adjacency[sym]
+        )
+
+    @cached_property
     def _activation_times(self) -> dict[Edge, tuple[int, ...]]:
-        acc: dict[Edge, list[int]] = {e: [] for e in self.base.edges}
-        for t, edges in enumerate(self.active, start=1):
-            for e in edges:
-                acc[e].append(t)
-        return {e: tuple(ts) for e, ts in acc.items()}
+        times = self.letter_times
+        return {(u, v): tuple(sorted({*times[u], *times[v]})) for u, v in self.base.edges}
 
     @cached_property
     def always_connected(self) -> bool:
-        verts = self.base.vertices
-        n = len(verts)
-        if n == 1:
-            return True
-        for edges in self.active:
-            adjacency: dict[Symbol, list[Symbol]] = {}
-            for u, v in edges:
-                adjacency.setdefault(u, []).append(v)
-                adjacency.setdefault(v, []).append(u)
-            reached = {verts[0]}
-            queue = deque([verts[0]])
+        """True when every timestep's graph is one component spanning all
+        vertices. In timestep t a letter of factor t reaches all its
+        neighbours, and any other vertex only its neighbours among those
+        letters."""
+        adjacency = self.base.adjacency
+        root = self.base.vertices[0]
+        n = len(self.base.vertices)
+        for lo, hi in self.factor_bounds:
+            letters = frozenset(self.word.symbols[lo - 1 : hi])
+            reached = {root}
+            queue = deque([root])
             while queue:
                 v = queue.popleft()
-                for u in adjacency.get(v, ()):
-                    if u not in reached:
-                        reached.add(u)
-                        queue.append(u)
+                reach = adjacency[v] if v in letters else adjacency[v] & letters
+                for u in reach - reached:
+                    reached.add(u)
+                    queue.append(u)
             if len(reached) != n:
                 return False
         return True
 
 
 def build_temporal(word: Word) -> TemporalGraph:
-    """Materialise the temporal graph of ``word``."""
+    """The temporal graph of ``word``: its greedy start points over its own
+    alternation graph."""
     base = build_graph(word)
-    starts = start_points(word)
-    ends = tuple(s - 1 for s in starts[1:]) + (len(word),)
-    letters = tuple(
-        frozenset(word.symbols[lo - 1 : hi]) for lo, hi in zip(starts, ends)
-    )
-    adjacency = base.adjacency
-    active = []
-    for factor in letters:
-        edges: set[Edge] = set()
-        for sym in factor:
-            for nb in adjacency[sym]:
-                edges.add(make_edge(sym, nb))
-        active.append(frozenset(edges))
-    return TemporalGraph(
-        word=word,
-        start_points=starts,
-        factor_letters=letters,
-        active=tuple(active),
-        base=base,
-    )
+    return TemporalGraph(word=word, start_points=start_points(word), base=base)
 
 
 def is_edge_active(tg: TemporalGraph, e: tuple[Symbol, Symbol], t: int) -> bool:
     """Membership of an underlying edge in timestep ``t``'s edge set."""
     tg._require_timestep(t)
-    edge = make_edge(*e)
-    if edge not in tg.base.edges:
-        raise ValueError(f"not an underlying edge: ({e[0]!r}, {e[1]!r})")
-    return edge in tg.active[t - 1]
+    return next_activation(tg, e, t - 1) == t
 
 
 def next_activation(tg: TemporalGraph, e: tuple[Symbol, Symbol], t: int) -> int | None:
@@ -152,13 +149,3 @@ def next_activation(tg: TemporalGraph, e: tuple[Symbol, Symbol], t: int) -> int 
         raise ValueError(f"not an underlying edge: ({e[0]!r}, {e[1]!r})")
     idx = bisect_right(times, t)
     return times[idx] if idx < len(times) else None
-
-
-def underlying(tg: TemporalGraph) -> StaticGraph:
-    """The union of all timestep edge sets; identical to the base graph."""
-    return tg.base
-
-
-def is_always_connected(tg: TemporalGraph) -> bool:
-    """True when every timestep's graph is one component spanning all vertices."""
-    return tg.always_connected

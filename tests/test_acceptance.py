@@ -185,11 +185,11 @@ def test_criterion_06_scheduler_soundness(tmp_path):
         n = len(tg.base.vertices)
         bound_base = (
             min_degree(tg.base)
-            if result.mode == "always-connected"
+            if tg.always_connected
             else diameter(tg.base)
         )
         assert result.schedule.length <= 2 * (n - 1) * (bound_base + 1)
-        headline, _ = exploration_bound(tg, result.mode)
+        headline, _ = exploration_bound(tg)
         if result.schedule.length <= headline:
             headline_held += 1
     assert completed > 100

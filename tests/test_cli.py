@@ -93,7 +93,7 @@ class TestExplore:
 
     def test_exhausted_schedule_is_reported_not_an_error(self, capsys, word_file):
         path = word_file("a b a c b d c e d f e g f h g\n")
-        code, out, _ = run(capsys, "explore", path, "--start", "a", "--mode", "general")
+        code, out, _ = run(capsys, "explore", path, "--start", "a")
         assert code == 0
         doc = json.loads(out)
         assert doc["visited_all"] is False

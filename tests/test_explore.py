@@ -11,7 +11,7 @@ from wordgraph.explore import (
 )
 from wordgraph.families import layered_word, path_word
 from wordgraph.graphs import DisconnectedGraphError, diameter, is_connected, min_degree
-from wordgraph.temporal import build_temporal, is_always_connected
+from wordgraph.temporal import build_temporal
 from wordgraph.words import Symbol, Word, power
 
 
@@ -43,7 +43,7 @@ def brute_min_exploration(tg, start):
         if best is not None and now >= best:
             return
         for t in range(now + 1, tg.lifetime + 1):
-            for u, v in tg.active[t - 1]:
+            for u, v in tg.edges_at(t):
                 if vertex in (u, v):
                     nxt = v if vertex == u else u
                     recurse(nxt, visited | {nxt}, t)
@@ -79,14 +79,12 @@ class TestScheduleExplore:
         assert result.schedule.length == 0
 
     def test_mode_resolution(self):
-        assert (
-            schedule_explore(build_temporal(Word.from_chars("xyzxyz")), Symbol("x")).mode
-            == "always-connected"
-        )
-        assert (
-            schedule_explore(build_temporal(Word.from_chars("121323")), Symbol("1")).mode
-            == "general"
-        )
+        tg = build_temporal(Word.from_chars("xyzxyz"))
+        assert exploration_bound(tg) == exploration_bound(tg, "always-connected")
+        assert exploration_bound(tg) != exploration_bound(tg, "general")
+        tg = build_temporal(Word.from_chars("121323"))
+        assert exploration_bound(tg) == exploration_bound(tg, "general")
+        assert exploration_bound(tg) != exploration_bound(tg, "always-connected")
 
     def test_disconnected_underlying_is_not_explorable(self):
         tg = build_temporal(Word.from_chars("aabb"))
@@ -98,7 +96,7 @@ class TestScheduleExplore:
         with pytest.raises(ValueError):
             schedule_explore(tg, Symbol("9"))
         with pytest.raises(ValueError):
-            schedule_explore(tg, Symbol("1"), mode="fast")
+            exploration_bound(tg, mode="fast")
 
     @given(words(sigma=6))
     def test_completed_schedules_validate_and_meet_structural_bound(self, w):
@@ -111,7 +109,7 @@ class TestScheduleExplore:
         assert validate_schedule(tg, result.schedule) is None
         n = len(tg.base.vertices)
         bound_base = (
-            min_degree(tg.base) if result.mode == "always-connected" else diameter(tg.base)
+            min_degree(tg.base) if tg.always_connected else diameter(tg.base)
         )
         assert result.schedule.length <= 2 * (n - 1) * (bound_base + 1)
 
@@ -120,7 +118,7 @@ class TestScheduleExplore:
         for base, start in [("xyz", "x"), ("xyzxzy", "y"), ("wxyz", "w")]:
             word = power(Word.from_chars(base), 30)
             tg = build_temporal(word)
-            assert is_always_connected(tg)
+            assert tg.always_connected
             _, structural = exploration_bound(tg, "always-connected")
             assert tg.lifetime >= structural
             result = schedule_explore(tg, Symbol(start))
@@ -135,7 +133,7 @@ class TestScheduleExplore:
         d = n - 1
         assert len(word) >= n * (2 * d * n + d)
         tg = build_temporal(word)
-        result = schedule_explore(tg, Symbol("1"), mode="general")
+        result = schedule_explore(tg, Symbol("1"))
         assert result.visited_all
         assert all(wait <= d for wait in result.waits)
 

@@ -74,6 +74,44 @@ class TestGraphDocuments:
         }
         assert doc["timesteps"][4]["range"] == [15, 15]
 
+    @pytest.mark.parametrize(
+        "text, golden",
+        [
+            (
+                "abacbdcedfegfhg",
+                '{"vertices": ["a", "b", "c", "d", "e", "f", "g", "h"], '
+                '"edges": [["a", "b"], ["b", "c"], ["c", "d"], ["d", "e"], '
+                '["e", "f"], ["f", "g"], ["g", "h"]], '
+                '"start_points": [1, 3, 7, 11, 15], "timesteps": ['
+                '{"range": [1, 2], "letters": ["a", "b"], '
+                '"edges": [["a", "b"], ["b", "c"]]}, '
+                '{"range": [3, 6], "letters": ["a", "b", "c", "d"], '
+                '"edges": [["a", "b"], ["b", "c"], ["c", "d"], ["d", "e"]]}, '
+                '{"range": [7, 10], "letters": ["c", "d", "e", "f"], '
+                '"edges": [["b", "c"], ["c", "d"], ["d", "e"], ["e", "f"], ["f", "g"]]}, '
+                '{"range": [11, 14], "letters": ["e", "f", "g", "h"], '
+                '"edges": [["d", "e"], ["e", "f"], ["f", "g"], ["g", "h"]]}, '
+                '{"range": [15, 15], "letters": ["g"], '
+                '"edges": [["f", "g"], ["g", "h"]]}]}',
+            ),
+            (
+                "121323",
+                '{"vertices": ["1", "2", "3"], "edges": [["1", "2"], ["2", "3"]], '
+                '"start_points": [1, 3, 6], "timesteps": ['
+                '{"range": [1, 2], "letters": ["1", "2"], '
+                '"edges": [["1", "2"], ["2", "3"]]}, '
+                '{"range": [3, 5], "letters": ["1", "2", "3"], '
+                '"edges": [["1", "2"], ["2", "3"]]}, '
+                '{"range": [6, 6], "letters": ["3"], "edges": [["2", "3"]]}]}',
+            ),
+        ],
+    )
+    def test_temporal_json_bytes(self, text, golden):
+        # The golden document in key order; the emitted bytes are exactly its
+        # two-space indented rendering with a trailing newline.
+        expected = json.dumps(json.loads(golden), indent=2) + "\n"
+        assert emit_graph(build_temporal(Word.from_chars(text))) == expected
+
     def test_dot_output(self):
         from wordgraph.families import path_word
 

@@ -1,0 +1,306 @@
+"""Derived timestep activity against slow per-timestep references.
+
+``ReferenceActivity`` builds every timestep's letter set and edge set
+explicitly: factor t's letters, and every base edge with an endpoint among
+them. The window checkers below scan those sets window by window, and the
+activity queries scan them timestep by timestep. The library derives the same
+facts from per-vertex letter times, so ``check_letter_recurrence``,
+``check_edge_recurrence``, ``check_union_windows``, ``always_connected``,
+``edges_at``, ``next_activation``, ``is_edge_active`` and the temporal JSON
+must agree with them exactly, witnesses and their order included.
+
+Words alone never violate a checker, so two probe sets build temporal graphs
+that no word yields: start points other than the greedy ones, and a base
+graph that is not the word's own. Between them they produce every witness
+kind, and each kind is compared.
+"""
+
+import itertools
+import json
+import random
+from collections import deque
+
+import pytest
+
+from test_acceptance import corpus_words, family_instances, short_words
+from wordgraph.formats import emit_graph
+from wordgraph.graphs import StaticGraph, _bfs_distances, is_connected, make_edge
+from wordgraph.lemmas import (
+    EDGE_RECURRENCE,
+    LETTER_RECURRENCE,
+    UNION_WINDOWS,
+    LemmaReport,
+    check_edge_recurrence,
+    check_letter_recurrence,
+    check_union_windows,
+)
+from wordgraph.families import layered_word, path_word
+from wordgraph.temporal import TemporalGraph, build_temporal, is_edge_active, next_activation
+from wordgraph.words import Symbol, Word, power
+
+WITNESS_KINDS = {
+    "letter-recurrence",
+    "delta-window",
+    "min-degree-window",
+    "first-window",
+    "reactivation",
+    "window-union",
+}
+
+
+class ReferenceActivity:
+    """Per-timestep letter sets and edge sets of a temporal graph."""
+
+    def __init__(self, tg):
+        starts = tg.start_points
+        ends = tuple(s - 1 for s in starts[1:]) + (len(tg.word),)
+        adjacency = tg.base.adjacency
+        self.tg = tg
+        self.letters = []
+        self.active = []
+        for lo, hi in zip(starts, ends):
+            factor = frozenset(tg.word.symbols[lo - 1 : hi])
+            self.letters.append(factor)
+            self.active.append(
+                frozenset(make_edge(sym, nb) for sym in factor for nb in adjacency[sym])
+            )
+
+    def always_connected(self):
+        verts = self.tg.base.vertices
+        n = len(verts)
+        if n == 1:
+            return True
+        for edges in self.active:
+            adjacency = {}
+            for u, v in edges:
+                adjacency.setdefault(u, []).append(v)
+                adjacency.setdefault(v, []).append(u)
+            reached = {verts[0]}
+            queue = deque([verts[0]])
+            while queue:
+                v = queue.popleft()
+                for u in adjacency.get(v, ()):
+                    if u not in reached:
+                        reached.add(u)
+                        queue.append(u)
+            if len(reached) != n:
+                return False
+        return True
+
+    def next_activation(self, e, t):
+        return next(
+            (s for s in range(t + 1, self.tg.lifetime + 1) if e in self.active[s - 1]),
+            None,
+        )
+
+    def is_edge_active(self, e, t):
+        if not 1 <= t <= self.tg.lifetime:
+            raise ValueError(f"timestep {t} outside [1, {self.tg.lifetime}]")
+        if e not in self.tg.base.edges:
+            raise ValueError(f"not an underlying edge: {e!r}")
+        return e in self.active[t - 1]
+
+    def temporal_json(self):
+        tg = self.tg
+        doc = {
+            "vertices": sorted(v.token for v in tg.base.vertices),
+            "edges": [[u.token, v.token] for u, v in sorted(tg.base.edges)],
+            "start_points": list(tg.start_points),
+            "timesteps": [
+                {
+                    "range": [lo, hi],
+                    "letters": sorted(sym.token for sym in self.letters[t]),
+                    "edges": [[u.token, v.token] for u, v in sorted(self.active[t])],
+                }
+                for t, (lo, hi) in enumerate(tg.factor_bounds)
+            ],
+        }
+        return json.dumps(doc, indent=2) + "\n"
+
+    def letter_recurrence(self):
+        tg = self.tg
+        if not self.always_connected():
+            return LemmaReport(
+                LETTER_RECURRENCE, False, True, (), "not connected in every timestep"
+            )
+        lifetime = tg.lifetime
+        violations = []
+        unfit = []
+        for v in tg.base.vertices:
+            span = len(tg.base.adjacency[v]) + 1
+            if lifetime - span + 1 < 1:
+                unfit.append(v.token)
+                continue
+            for t in range(1, lifetime - span + 2):
+                if all(v not in self.letters[s] for s in range(t - 1, t - 1 + span)):
+                    violations.append((v.token, t))
+        notes = ""
+        if unfit:
+            notes = "windows exceed the lifetime for: " + ", ".join(sorted(unfit))
+        return LemmaReport(LETTER_RECURRENCE, True, not violations, tuple(violations), notes)
+
+    def edge_recurrence(self):
+        tg = self.tg
+        if not self.always_connected():
+            return LemmaReport(
+                EDGE_RECURRENCE, False, True, (), "not connected in every timestep"
+            )
+        lifetime = tg.lifetime
+        if not tg.base.edges:
+            return LemmaReport(EDGE_RECURRENCE, True, True, (), "no edges to check")
+        delta = min(len(tg.base.adjacency[v]) for v in tg.base.vertices)
+        violations = []
+        any_window = False
+        for u, v in sorted(tg.base.edges):
+            local = min(len(tg.base.adjacency[u]), len(tg.base.adjacency[v]))
+            for kind, gap in (("delta-window", delta), ("min-degree-window", local)):
+                for t in range(1, lifetime - gap + 1):
+                    any_window = True
+                    if all((u, v) not in self.active[s] for s in range(t - 1, t + gap)):
+                        violations.append((kind, u.token, v.token, t))
+        notes = "" if any_window else "no window fits inside the lifetime"
+        return LemmaReport(EDGE_RECURRENCE, True, not violations, tuple(violations), notes)
+
+    def union_windows(self):
+        tg = self.tg
+        if not is_connected(tg.base):
+            return LemmaReport(
+                UNION_WINDOWS, False, True, (), "underlying graph is disconnected"
+            )
+        graph = tg.base
+        lifetime = tg.lifetime
+        dia = max(max(_bfs_distances(graph, v).values()) for v in graph.vertices)
+        edges = graph.edges
+        active = self.active
+        violations = []
+        skipped = []
+        if dia <= lifetime:
+            seen = frozenset().union(*active[:dia]) if dia else frozenset()
+            for u, v in sorted(edges - seen):
+                violations.append(("first-window", u.token, v.token))
+        else:
+            skipped.append("first-window")
+        if lifetime - dia - 1 >= 1:
+            for t in range(1, lifetime - dia):
+                for u, v in sorted(active[t - 1]):
+                    if all((u, v) not in active[s] for s in range(t, t + dia + 1)):
+                        violations.append(("reactivation", u.token, v.token, t))
+        else:
+            skipped.append("reactivation")
+        if lifetime - dia >= 1:
+            for t in range(1, lifetime - dia + 1):
+                window = frozenset().union(*active[t - 1 : t + dia])
+                for u, v in sorted(edges - window):
+                    violations.append(("window-union", t, u.token, v.token))
+        else:
+            skipped.append("window-union")
+        if len(skipped) == 3:
+            return LemmaReport(
+                UNION_WINDOWS,
+                False,
+                True,
+                (),
+                f"diameter {dia} exceeds lifetime {lifetime}: no window fits",
+            )
+        notes = ""
+        if skipped:
+            notes = "skipped (window does not fit): " + ", ".join(skipped)
+        return LemmaReport(UNION_WINDOWS, True, not violations, tuple(violations), notes)
+
+
+def witness_kinds(report):
+    if report.lemma_id == LETTER_RECURRENCE:
+        return {LETTER_RECURRENCE} if report.violations else set()
+    return {witness[0] for witness in report.violations}
+
+
+def assert_matches_reference(tg):
+    """Compare every derived query with the reference; return the witness
+    kinds the checkers reported."""
+    ref = ReferenceActivity(tg)
+    assert tg.always_connected == ref.always_connected()
+    reports = [
+        (check_letter_recurrence(tg), ref.letter_recurrence()),
+        (check_edge_recurrence(tg), ref.edge_recurrence()),
+        (check_union_windows(tg), ref.union_windows()),
+    ]
+    for report, expected in reports:
+        assert report == expected, (str(tg.word), tg.start_points)
+    for t in range(1, tg.lifetime + 1):
+        assert tg.edges_at(t) == ref.active[t - 1]
+    for e in tg.base.edges:
+        for t in range(tg.lifetime + 1):
+            assert next_activation(tg, e, t) == ref.next_activation(e, t)
+        for t in range(1, tg.lifetime + 1):
+            assert is_edge_active(tg, e, t) is ref.is_edge_active(e, t)
+    assert emit_graph(tg) == ref.temporal_json()
+    return set().union(*(witness_kinds(report) for report, _ in reports))
+
+
+def exhaustive_words(sigma, max_length):
+    alphabet = [Symbol(str(i)) for i in range(1, sigma + 1)]
+    for length in range(1, max_length + 1):
+        for symbols in itertools.product(alphabet, repeat=length):
+            yield Word(symbols)
+
+
+def test_random_words():
+    for word in corpus_words(count=1000, seed=31) + short_words(1000, seed=31):
+        assert not assert_matches_reference(build_temporal(word))
+
+
+@pytest.mark.parametrize("sigma, max_length", [(2, 8), (3, 7)])
+def test_exhaustive_words(sigma, max_length):
+    for word in exhaustive_words(sigma, max_length):
+        assert not assert_matches_reference(build_temporal(word))
+
+
+def test_family_words():
+    words = family_instances()
+    words += [power(path_word(n), n) for n in (3, 5, 8)]
+    words += [power(layered_word(n, d), 3) for n, d in ((6, 3), (8, 4), (9, 3))]
+    # permutation powers are always connected, so the recurrence checkers
+    # apply to them
+    words += [
+        power(Word.from_tokens(str(i) for i in range(n)), k)
+        for n in (2, 3, 5, 8)
+        for k in (1, 3, 9)
+    ]
+    for word in words:
+        assert not assert_matches_reference(build_temporal(word))
+
+
+def non_greedy_probes(rng, count):
+    """Words paired with a random set of start points that begins at 1."""
+    for word in short_words(count, seed=rng.random()):
+        later = rng.sample(range(2, len(word) + 1), rng.randint(0, len(word) - 1))
+        starts = [1] + sorted(later)
+        yield TemporalGraph(word, tuple(starts), build_temporal(word).base)
+
+
+def foreign_base_probes(rng, count):
+    """Greedy temporal graphs over the complete graph on the word's alphabet,
+    or over a random subset of its pairs."""
+    for word in short_words(count, seed=rng.random()):
+        alphabet = sorted(word.alphabet)
+        pairs = list(itertools.combinations(alphabet, 2))
+        if rng.random() < 0.5:
+            pairs = [p for p in pairs if rng.random() < 0.6]
+        base = StaticGraph.from_edges(alphabet, pairs)
+        yield TemporalGraph(word, build_temporal(word).start_points, base)
+
+
+def test_non_greedy_start_points_probe():
+    rng = random.Random(5)
+    kinds = set()
+    for tg in non_greedy_probes(rng, 1500):
+        kinds |= assert_matches_reference(tg)
+    assert kinds >= {"first-window", "reactivation", "window-union"}
+
+
+def test_foreign_base_probe():
+    rng = random.Random(6)
+    kinds = set()
+    for tg in foreign_base_probes(rng, 1500):
+        kinds |= assert_matches_reference(tg)
+    assert kinds == WITNESS_KINDS

@@ -2,14 +2,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wordgraph.graphs import make_edge
+from wordgraph.graphs import build_graph, make_edge
 from wordgraph.temporal import (
     build_temporal,
-    is_always_connected,
     is_edge_active,
     next_activation,
     start_points,
-    underlying,
 )
 from wordgraph.words import Symbol, Word
 
@@ -64,8 +62,8 @@ class TestBuildTemporal:
     def test_reference_word(self):
         tg = build_temporal(Word.from_chars("abacbdcedfegfhg"))
         assert tg.lifetime == 5
-        assert edge_tokens(tg.active[0]) == {("a", "b"), ("b", "c")}
-        assert edge_tokens(tg.active[4]) == {("f", "g"), ("g", "h")}
+        assert edge_tokens(tg.edges_at(1)) == {("a", "b"), ("b", "c")}
+        assert edge_tokens(tg.edges_at(5)) == {("f", "g"), ("g", "h")}
         assert [str(tg.factor(t)) for t in range(1, 6)] == [
             "a b",
             "a c b d",
@@ -78,19 +76,21 @@ class TestBuildTemporal:
         tg = build_temporal(Word.from_chars("121323"))
         assert tg.lifetime == 3
         assert [str(tg.factor(t)) for t in (1, 2, 3)] == ["1 2", "1 3 2", "3"]
-        assert edge_tokens(tg.active[0]) == {("1", "2"), ("2", "3")}
-        assert edge_tokens(tg.active[1]) == {("1", "2"), ("2", "3")}
-        assert edge_tokens(tg.active[2]) == {("2", "3")}
+        assert edge_tokens(tg.edges_at(1)) == {("1", "2"), ("2", "3")}
+        assert edge_tokens(tg.edges_at(2)) == {("1", "2"), ("2", "3")}
+        assert edge_tokens(tg.edges_at(3)) == {("2", "3")}
 
     def test_single_factor_triangle(self):
         tg = build_temporal(Word.from_chars("xyz"))
         assert tg.lifetime == 1
-        assert len(tg.active[0]) == 3
+        assert len(tg.edges_at(1)) == 3
 
     @given(words())
     def test_union_of_timesteps_is_underlying_edge_set(self, w):
         tg = build_temporal(w)
-        assert frozenset().union(*tg.active) == tg.base.edges
+        assert frozenset().union(
+            *(tg.edges_at(t) for t in range(1, tg.lifetime + 1))
+        ) == tg.base.edges
 
     @given(words())
     def test_factor_structure(self, w):
@@ -98,7 +98,10 @@ class TestBuildTemporal:
         for t, (lo, hi) in enumerate(tg.factor_bounds, start=1):
             factor = tg.word.symbols[lo - 1 : hi]
             assert len(factor) == len(set(factor))
-            assert frozenset(factor) == tg.factor_letters[t - 1]
+            assert frozenset(factor) == frozenset(tg.factor(t).symbols)
+            assert frozenset(factor) == {v for v, ts in tg.letter_times.items() if t in ts}
+        for ts in tg.letter_times.values():
+            assert all(a < b for a, b in zip(ts, ts[1:]))
         # each closed interval between consecutive starts repeats exactly
         # one symbol: the one at the later start point
         for s, s_next in zip(tg.start_points, tg.start_points[1:]):
@@ -121,6 +124,10 @@ class TestEdgeActivity:
             is_edge_active(tg, (Symbol("1"), Symbol("2")), 4)
         with pytest.raises(ValueError):
             is_edge_active(tg, (Symbol("1"), Symbol("3")), 1)
+        with pytest.raises(ValueError):
+            tg.edges_at(0)
+        with pytest.raises(ValueError):
+            tg.edges_at(4)
 
     def test_next_activation_examples(self):
         tg = build_temporal(Word.from_chars("121323"))
@@ -141,7 +148,7 @@ class TestEdgeActivity:
         tg = build_temporal(w)
         for e in tg.base.edges:
             expected = next(
-                (s for s in range(t + 1, tg.lifetime + 1) if e in tg.active[s - 1]),
+                (s for s in range(t + 1, tg.lifetime + 1) if e in tg.edges_at(s)),
                 None,
             )
             assert next_activation(tg, e, t) == expected
@@ -150,10 +157,10 @@ class TestEdgeActivity:
 class TestUnderlyingAndConnectivity:
     def test_underlying_examples(self):
         fig = build_temporal(Word.from_chars("abacbdcedfegfhg"))
-        assert underlying(fig) is fig.base
-        assert len(underlying(fig).edges) == 7
-        assert len(underlying(build_temporal(Word.from_chars("121323"))).edges) == 2
-        assert len(underlying(build_temporal(Word.from_chars("xyz"))).edges) == 3
+        assert fig.base == build_graph(fig.word)
+        assert len(fig.base.edges) == 7
+        assert len(build_temporal(Word.from_chars("121323")).base.edges) == 2
+        assert len(build_temporal(Word.from_chars("xyz")).base.edges) == 3
 
     @pytest.mark.parametrize(
         "text, expected",
@@ -165,4 +172,4 @@ class TestUnderlyingAndConnectivity:
         ],
     )
     def test_always_connected(self, text, expected):
-        assert is_always_connected(build_temporal(Word.from_chars(text))) is expected
+        assert build_temporal(Word.from_chars(text)).always_connected is expected
