@@ -51,9 +51,11 @@ _ERROR_KINDS = {
 
 def _load_word(path: str, chars: bool):
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}")
     return parse_word_file(text, chars=chars)
 
 
@@ -155,6 +157,8 @@ def _bench_row(family: str, n: int, d_param: int | None, k: int) -> dict:
 
 def _cmd_bench(args) -> int:
     lo, hi = _parse_range(args.n_range)
+    if args.family == "layered" and args.ratio < 1:
+        raise ValueError(f"--ratio must be at least 1, got {args.ratio}")
     rows = []
     for n in range(lo, hi + 1, args.step):
         if args.family == "path":

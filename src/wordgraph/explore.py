@@ -172,7 +172,7 @@ def validate_schedule(tg: TemporalGraph, schedule: Schedule) -> ScheduleViolatio
         position = v
     missing = frozenset(tg.base.vertices) - schedule.visited()
     if missing:
-        names = ", ".join(sorted(sym.token for sym in missing))
+        names = ", ".join(sorted(missing))
         return ScheduleViolation(
             "incomplete-coverage", None, f"schedule never visits: {names}"
         )

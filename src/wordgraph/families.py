@@ -138,7 +138,7 @@ def layered_word(n: int, d: int) -> Word:
     """
     spec = LayeredFamilySpec(n, d)
     per_layer = spec.n // spec.d
-    column_layers = [int(sym.token) for sym in path_word(d)]
+    column_layers = [int(sym) for sym in path_word(d)]
     out: list[Symbol] = []
     for column, layer in enumerate(column_layers, start=1):
         rows: range | reversed = range(1, per_layer + 1)

@@ -45,19 +45,13 @@ def parse_word_file(text: str, chars: bool = False) -> Word:
 
 
 def emit_word(word: Word) -> str:
-    return " ".join(word.tokens()) + "\n"
-
-
-def _edge_list(edges) -> list[list[str]]:
-    # Symbols order by token, so sorting token pairs gives the same order
-    # without a Python-level comparison per step.
-    return [[u, v] for u, v in sorted((u.token, v.token) for u, v in edges)]
+    return f"{word}\n"
 
 
 def graph_to_document(graph: StaticGraph) -> dict[str, Any]:
     return {
-        "vertices": sorted(v.token for v in graph.vertices),
-        "edges": _edge_list(graph.edges),
+        "vertices": sorted(graph.vertices),
+        "edges": [list(edge) for edge in sorted(graph.edges)],
     }
 
 
@@ -67,8 +61,8 @@ def temporal_to_document(tg: TemporalGraph) -> dict[str, Any]:
     doc["timesteps"] = [
         {
             "range": [lo, hi],
-            "letters": sorted({sym.token for sym in tg.factor(t).symbols}),
-            "edges": _edge_list(tg.edges_at(t)),
+            "letters": sorted(tg.factor(t).alphabet),
+            "edges": [list(edge) for edge in sorted(tg.edges_at(t))],
         }
         for t, (lo, hi) in enumerate(tg.factor_bounds, start=1)
     ]
@@ -77,7 +71,7 @@ def temporal_to_document(tg: TemporalGraph) -> dict[str, Any]:
 
 def _dot_id(sym: Symbol) -> str:
     """A DOT quoted string holding the token; backslash and quote escaped."""
-    return '"' + sym.token.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return '"' + sym.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def _graph_to_dot(graph: StaticGraph) -> str:
@@ -106,10 +100,8 @@ def emit_graph(obj: StaticGraph | TemporalGraph, fmt: str = "json") -> str:
 
 def schedule_to_document(schedule: Schedule, visited_all: bool) -> dict[str, Any]:
     return {
-        "start": schedule.start.token,
-        "steps": [
-            {"edge": [u.token, v.token], "t": t} for (u, v), t in schedule.steps
-        ],
+        "start": schedule.start,
+        "steps": [{"edge": list(edge), "t": t} for edge, t in schedule.steps],
         "length": schedule.length,
         "visited_all": visited_all,
     }

@@ -71,6 +71,12 @@ class StaticGraph:
             acc[v].add(u)
         return {v: frozenset(nbrs) for v, nbrs in acc.items()}
 
+    @cached_property
+    def distances(self) -> dict[Symbol, dict[Symbol, int]]:
+        """BFS distances from every vertex. A row holds only the vertices its
+        source reaches, so rows are short on a disconnected graph."""
+        return {v: _bfs_distances(self, v) for v in self.vertices}
+
     def degree(self, v: Symbol) -> int:
         self.require_vertex(v)
         return len(self.adjacency[v])
@@ -127,9 +133,7 @@ def distance(graph: StaticGraph, u: Symbol, v: Symbol) -> int | None:
     """Shortest-path length between two vertices, or None when unreachable."""
     graph.require_vertex(u)
     graph.require_vertex(v)
-    if u == v:
-        return 0
-    return _bfs_distances(graph, u).get(v)
+    return graph.distances[u].get(v)
 
 
 def is_connected(graph: StaticGraph) -> bool:
@@ -138,13 +142,10 @@ def is_connected(graph: StaticGraph) -> bool:
 
 def diameter(graph: StaticGraph) -> int:
     """Largest pairwise distance. Undefined (raises) on disconnected graphs."""
-    best = 0
-    for source in graph.vertices:
-        dist = _bfs_distances(graph, source)
-        if len(dist) != len(graph.vertices):
-            raise DisconnectedGraphError("diameter is undefined: graph is disconnected")
-        best = max(best, max(dist.values()))
-    return best
+    rows = graph.distances.values()
+    if any(len(row) != len(graph.vertices) for row in rows):
+        raise DisconnectedGraphError("diameter is undefined: graph is disconnected")
+    return max(max(row.values()) for row in rows)
 
 
 def min_degree(graph: StaticGraph) -> int:

@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import inf
 
-from .graphs import StaticGraph, _bfs_distances, is_connected
+from .graphs import diameter, is_connected
 from .temporal import TemporalGraph
 
 LETTER_RECURRENCE = "letter-recurrence"
@@ -70,10 +70,6 @@ def _checked(lemma_id: str, violations: list[tuple], notes: str = "") -> LemmaRe
 
 def _vacuous(lemma_id: str, note: str) -> LemmaReport:
     return LemmaReport(lemma_id, False, True, (), note)
-
-
-def _all_pairs_distances(graph: StaticGraph) -> dict:
-    return {v: _bfs_distances(graph, v) for v in graph.vertices}
 
 
 def _uncovered_windows(times: tuple[int, ...], size: int, lifetime: int):
@@ -132,7 +128,7 @@ def check_occurrence_balance(tg: TemporalGraph) -> LemmaReport:
     if not is_connected(tg.base):
         return _vacuous(OCCURRENCE_BALANCE, "underlying graph is disconnected")
     counts = {v: len(tg.word.occurrences[v]) for v in tg.base.vertices}
-    distances = _all_pairs_distances(tg.base)
+    distances = tg.base.distances
     violations: list[tuple] = []
     vertices = tg.base.vertices
     for i, x in enumerate(vertices):
@@ -148,7 +144,7 @@ def check_interleaving(tg: TemporalGraph) -> LemmaReport:
     of each other."""
     if not is_connected(tg.base):
         return _vacuous(INTERLEAVING, "underlying graph is disconnected")
-    distances = _all_pairs_distances(tg.base)
+    distances = tg.base.distances
     occurrences = tg.word.occurrences
     violations: list[tuple] = []
     for x in tg.base.vertices:
@@ -177,9 +173,7 @@ def check_union_windows(tg: TemporalGraph) -> LemmaReport:
         return _vacuous(UNION_WINDOWS, "underlying graph is disconnected")
     graph = tg.base
     lifetime = tg.lifetime
-    dia = max(
-        max(dist.values()) for dist in _all_pairs_distances(graph).values()
-    )
+    dia = diameter(graph)
     times = tg._activation_times
     edges = sorted(graph.edges)
     violations: list[tuple] = []

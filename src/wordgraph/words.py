@@ -13,38 +13,31 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
-class Symbol:
-    """One alphabet symbol, identified exactly by its token text.
+class Symbol(str):
+    """One alphabet symbol: a ``str`` that is its own token text.
 
     Tokens are opaque: ``"7"``, ``"x"`` and ``"(2,3)"`` are all just tokens.
-    Equality and ordering compare token text only.
+    A symbol equals, hashes and orders exactly as its token text does.
     """
 
-    token: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.token:
+    def __new__(cls, token: str) -> "Symbol":
+        if not isinstance(token, str):
+            raise TypeError(f"symbol token must be a str, got {type(token).__name__}")
+        if not token:
             raise ValueError("symbol token must be nonempty")
-        if any(ch.isspace() for ch in self.token):
-            raise ValueError(f"symbol token may not contain whitespace: {self.token!r}")
+        if any(ch.isspace() for ch in token):
+            raise ValueError(f"symbol token may not contain whitespace: {token!r}")
+        return super().__new__(cls, token)
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Symbol) and self.token == other.token
-
-    def __hash__(self) -> int:
-        return hash(self.token)
-
-    def __lt__(self, other: "Symbol"):
-        if not isinstance(other, Symbol):
-            return NotImplemented
-        return self.token < other.token
-
-    def __str__(self) -> str:
-        return self.token
+    @property
+    def token(self) -> str:
+        """The token text as a plain ``str``."""
+        return str(self)
 
     def __repr__(self) -> str:
-        return f"Symbol({self.token!r})"
+        return f"Symbol({str.__repr__(self)})"
 
 
 @dataclass(frozen=True)
@@ -66,12 +59,15 @@ class Word:
 
     @classmethod
     def from_tokens(cls, tokens: Iterable[str]) -> "Word":
-        return cls(tuple(Symbol(tok) for tok in tokens))
+        """Read a word from its tokens; equal tokens share one Symbol."""
+        tokens = tuple(tokens)
+        symbols = {tok: Symbol(tok) for tok in dict.fromkeys(tokens)}
+        return cls(tuple(symbols[tok] for tok in tokens))
 
     @classmethod
     def from_chars(cls, text: str) -> "Word":
         """Read a word with one character per symbol, e.g. ``"acbacbab"``."""
-        return cls(tuple(Symbol(ch) for ch in text))
+        return cls.from_tokens(text)
 
     @cached_property
     def alphabet(self) -> frozenset[Symbol]:
@@ -93,7 +89,7 @@ class Word:
         return self.symbols[position - 1]
 
     def tokens(self) -> list[str]:
-        return [sym.token for sym in self.symbols]
+        return list(self.symbols)
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -102,7 +98,7 @@ class Word:
         return iter(self.symbols)
 
     def __str__(self) -> str:
-        return " ".join(sym.token for sym in self.symbols)
+        return " ".join(self.symbols)
 
 
 def project(word: Word, symbols: Iterable[Symbol]) -> Word:

@@ -81,6 +81,15 @@ class TestBuild:
         assert code == 1
         assert json.loads(err)["error"] == "parse-error"
 
+    def test_non_utf8_file_is_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "word.txt"
+        path.write_bytes(b"a b \xff a\n")
+        code, out, err = run(capsys, "build", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "parse-error"
+
 
 class TestExplore:
     def test_complete_schedule(self, capsys, word_file):
@@ -255,6 +264,26 @@ class TestBench:
         )
         assert code == 1
         assert json.loads(err)["error"] == "parse-error"
+
+    def test_zero_ratio_is_domain_error(self, capsys, tmp_path):
+        out_csv = tmp_path / "bench.csv"
+        code, out, err = run(
+            capsys,
+            "bench",
+            "--family",
+            "layered",
+            "--n-range",
+            "4:4",
+            "--ratio",
+            "0",
+            "--csv",
+            str(out_csv),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "invalid-arguments"
+        assert not out_csv.exists()
 
     def test_missing_output_directory_is_io_error(self, capsys, tmp_path):
         out_csv = tmp_path / "missing" / "bench.csv"

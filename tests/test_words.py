@@ -35,6 +35,24 @@ class TestSymbol:
         with pytest.raises(ValueError):
             Symbol(bad)
 
+    def test_equals_hashes_and_orders_as_its_token(self):
+        assert Symbol("a") == "a" and "a" == Symbol("a")
+        assert Symbol("a") != "b"
+        assert hash(Symbol("a")) == hash("a")
+        assert {Symbol("a"): 1}["a"] == 1
+        assert sorted([Symbol("b"), "a", Symbol("(1,2)"), "c"]) == ["(1,2)", "a", "b", "c"]
+
+    def test_token_is_plain_str_and_repr_names_the_class(self):
+        assert type(Symbol("a").token) is str
+        assert Symbol("(2,3)").token == "(2,3)"
+        assert repr(Symbol("a")) == "Symbol('a')"
+        assert repr(Symbol("it's")) == 'Symbol("it\'s")'
+
+    @pytest.mark.parametrize("bad", [None, 7, b"a"])
+    def test_rejects_non_str_tokens(self, bad):
+        with pytest.raises(TypeError):
+            Symbol(bad)
+
 
 class TestWord:
     def test_one_based_access(self):
@@ -53,6 +71,13 @@ class TestWord:
     def test_from_tokens_keeps_order(self):
         w = Word.from_tokens(["(1,1)", "(2,1)", "(1,1)"])
         assert w.tokens() == ["(1,1)", "(2,1)", "(1,1)"]
+
+    def test_from_tokens_shares_one_symbol_per_token(self):
+        w = Word.from_tokens("a b a".split())
+        assert w.at(1) is w.at(3)
+        assert w.at(1) is not w.at(2)
+        chars = Word.from_chars("abab")
+        assert chars.at(2) is chars.at(4)
 
 
 class TestProject:
