@@ -12,6 +12,7 @@ import io
 import json
 import os
 import sys
+from functools import cache
 from pathlib import Path
 
 from .explore import exploration_bound, oracle_explore, schedule_explore
@@ -180,7 +181,10 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; ``parse_args`` returns a
+    fresh namespace on every call, so the parser is safe to reuse."""
     parser = argparse.ArgumentParser(
         prog="wordgraph",
         description="Build, explore and verify word-representable temporal graphs.",

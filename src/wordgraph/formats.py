@@ -9,10 +9,11 @@ byte-deterministic, and parse/emit round-trips reproduce the same value.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .explore import Schedule
-from .graphs import StaticGraph
+from .graphs import Edge, StaticGraph
 from .lemmas import LemmaReport
 from .temporal import TemporalGraph
 from .words import Symbol, Word
@@ -48,25 +49,52 @@ def emit_word(word: Word) -> str:
     return f"{word}\n"
 
 
-def graph_to_document(graph: StaticGraph) -> dict[str, Any]:
-    return {
-        "vertices": sorted(graph.vertices),
-        "edges": [list(edge) for edge in sorted(graph.edges)],
-    }
+def _json_list(items: list[str], indent: int) -> str:
+    """Rendered JSON values as a list in ``json.dumps(..., indent=2)``
+    layout, for a list whose own line is indented by ``indent`` spaces."""
+    if not items:
+        return "[]"
+    pad = "\n" + " " * (indent + 2)
+    return "[" + pad + ("," + pad).join(items) + "\n" + " " * indent + "]"
 
 
-def temporal_to_document(tg: TemporalGraph) -> dict[str, Any]:
-    doc = graph_to_document(tg.base)
-    doc["start_points"] = list(tg.start_points)
-    doc["timesteps"] = [
-        {
-            "range": [lo, hi],
-            "letters": sorted(tg.factor(t).alphabet),
-            "edges": [list(edge) for edge in sorted(tg.edges_at(t))],
-        }
-        for t, (lo, hi) in enumerate(tg.factor_bounds, start=1)
-    ]
-    return doc
+def _json_edge(edge: Edge, indent: int) -> str:
+    return _json_list(list(map(encode_basestring_ascii, edge)), indent)
+
+
+def _graph_json(graph: StaticGraph, tail: str = "") -> str:
+    """The ``indent=2`` JSON object of ``graph``'s vertices and edges, with
+    the rendered members ``tail`` appended."""
+    vertices = [encode_basestring_ascii(v) for v in sorted(graph.vertices)]
+    edges = [_json_edge(e, 4) for e in sorted(graph.edges)]
+    return (
+        f'{{\n  "vertices": {_json_list(vertices, 2)},\n'
+        f'  "edges": {_json_list(edges, 2)}{tail}\n}}\n'
+    )
+
+
+def _temporal_json(tg: TemporalGraph) -> str:
+    # Each base edge is rendered once and reused at every activation; a
+    # timestep's edges are put in edge order through their ranks.
+    ordered = sorted(tg.base.edges)
+    rank = {edge: i for i, edge in enumerate(ordered)}
+    blocks = [_json_edge(e, 8) for e in ordered]
+    quoted = {v: encode_basestring_ascii(v) for v in tg.base.vertices}
+    symbols = tg.word.symbols
+    timesteps = []
+    for t, (lo, hi) in enumerate(tg.factor_bounds, start=1):
+        letters = [quoted[v] for v in sorted(set(symbols[lo - 1 : hi]))]
+        edges = [blocks[i] for i in sorted(map(rank.__getitem__, tg.edges_at(t)))]
+        timesteps.append(
+            f'{{\n      "range": [\n        {lo},\n        {hi}\n      ],\n'
+            f'      "letters": {_json_list(letters, 6)},\n'
+            f'      "edges": {_json_list(edges, 6)}\n    }}'
+        )
+    starts = _json_list(list(map(str, tg.start_points)), 2)
+    return _graph_json(
+        tg.base,
+        f',\n  "start_points": {starts},\n  "timesteps": {_json_list(timesteps, 2)}',
+    )
 
 
 def _dot_id(sym: Symbol) -> str:
@@ -93,8 +121,8 @@ def emit_graph(obj: StaticGraph | TemporalGraph, fmt: str = "json") -> str:
         return _graph_to_dot(graph)
     if fmt == "json":
         if isinstance(obj, TemporalGraph):
-            return json.dumps(temporal_to_document(obj), indent=2) + "\n"
-        return json.dumps(graph_to_document(obj), indent=2) + "\n"
+            return _temporal_json(obj)
+        return _graph_json(obj)
     raise ValueError(f"unknown format: {fmt!r}")
 
 

@@ -77,10 +77,6 @@ class StaticGraph:
         source reaches, so rows are short on a disconnected graph."""
         return {v: _bfs_distances(self, v) for v in self.vertices}
 
-    def degree(self, v: Symbol) -> int:
-        self.require_vertex(v)
-        return len(self.adjacency[v])
-
     def require_vertex(self, v: Symbol) -> None:
         if v not in self.adjacency:
             raise ValueError(f"unknown vertex: {v!r}")

@@ -88,9 +88,11 @@ class TemporalGraph:
     def edges_at(self, t: int) -> frozenset[Edge]:
         """The edge set of timestep ``t``: every edge incident to a letter of
         factor t."""
+        self._require_timestep(t)
+        lo, hi = self.factor_bounds[t - 1]
         adjacency = self.base.adjacency
         return frozenset(
-            make_edge(sym, nb) for sym in self.factor(t).symbols for nb in adjacency[sym]
+            make_edge(sym, nb) for sym in self.word.symbols[lo - 1 : hi] for nb in adjacency[sym]
         )
 
     @cached_property

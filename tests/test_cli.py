@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import wordgraph
 from wordgraph.cli import run_cli
 
 
@@ -309,3 +314,43 @@ class TestUsageErrors:
         path = word_file("1 2 1 3 2 3\n")
         code, _, _ = run(capsys, "explore", path)
         assert code == 2
+
+
+class TestParserReuse:
+    """The parser is built once per process, so every command after the
+    first reuses it; each must behave as it does in a fresh process."""
+
+    @pytest.mark.parametrize(
+        "commands",
+        [
+            [
+                (1, ["oracle", "{path}", "--start", "1", "--limit", "40"]),
+                (0, ["oracle", "{path}", "--start", "1"]),
+            ],
+            [
+                (2, ["explore", "{path}"]),
+                (0, ["explore", "{path}", "--start", "1"]),
+            ],
+        ],
+    )
+    def test_commands_in_one_process_match_fresh_processes(
+        self, capsys, word_file, monkeypatch, commands
+    ):
+        # a fixed width, so that argparse wraps usage lines alike in both
+        monkeypatch.setenv("COLUMNS", "80")
+        src = str(Path(wordgraph.__file__).parents[1])
+        pythonpath = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": pythonpath}
+        path = word_file("1 2 1 3 2 3\n")
+        for expected_code, template in commands:
+            argv = [arg.format(path=path) for arg in template]
+            in_process = run(capsys, *argv)
+            fresh = subprocess.run(
+                [sys.executable, "-m", "wordgraph", *argv],
+                capture_output=True,
+                text=True,
+                env=env,
+                timeout=60,
+            )
+            assert in_process == (fresh.returncode, fresh.stdout, fresh.stderr)
+            assert in_process[0] == expected_code

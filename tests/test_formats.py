@@ -112,6 +112,34 @@ class TestGraphDocuments:
         expected = json.dumps(json.loads(golden), indent=2) + "\n"
         assert emit_graph(build_temporal(Word.from_chars(text))) == expected
 
+    @pytest.mark.parametrize(
+        "tokens",
+        [
+            ["é", "α", '"', "\\", "\x01", "\x7f"] * 2,
+            ["é", "a", "é", "α", "a", '"', "\\", '"', "\x01", "\x7f", "\x01", "é\\α"],
+            ["x\u2603y", "\U0001f600", "x\u2603y", "a\"b", "\U0001f600", "a\"b"],
+        ],
+    )
+    def test_json_escapes_tokens_as_json_dumps(self, tokens):
+        # json.dumps escapes with ensure_ascii=True: "é" is "\u00e9".
+        tg = build_temporal(Word.from_tokens(tokens))
+        doc = {
+            "vertices": sorted(set(tokens)),
+            "edges": [list(edge) for edge in sorted(tg.base.edges)],
+        }
+        assert emit_graph(tg.base) == json.dumps(doc, indent=2) + "\n"
+        doc["start_points"] = list(tg.start_points)
+        doc["timesteps"] = [
+            {
+                "range": [lo, hi],
+                "letters": sorted(set(tokens[lo - 1 : hi])),
+                "edges": [list(edge) for edge in sorted(tg.edges_at(t))],
+            }
+            for t, (lo, hi) in enumerate(tg.factor_bounds, start=1)
+        ]
+        assert emit_graph(tg) == json.dumps(doc, indent=2) + "\n"
+        assert emit_graph(tg).isascii()
+
     def test_dot_output(self):
         from wordgraph.families import path_word
 

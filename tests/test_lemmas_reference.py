@@ -8,6 +8,8 @@ facts from per-vertex letter times, so ``check_letter_recurrence``,
 ``check_edge_recurrence``, ``check_union_windows``, ``always_connected``,
 ``edges_at``, ``next_activation``, ``is_edge_active`` and the temporal JSON
 must agree with them exactly, witnesses and their order included.
+``reference_interleaving`` walks every vertex pair rank by rank;
+``check_interleaving`` does so only for a pair its slice comparisons reject.
 
 Words alone never violate a checker, so two probe sets build temporal graphs
 that no word yields: start points other than the greedy ones, and a base
@@ -27,10 +29,12 @@ from wordgraph.formats import emit_graph
 from wordgraph.graphs import StaticGraph, _bfs_distances, is_connected, make_edge
 from wordgraph.lemmas import (
     EDGE_RECURRENCE,
+    INTERLEAVING,
     LETTER_RECURRENCE,
     UNION_WINDOWS,
     LemmaReport,
     check_edge_recurrence,
+    check_interleaving,
     check_letter_recurrence,
     check_union_windows,
 )
@@ -45,6 +49,7 @@ WITNESS_KINDS = {
     "first-window",
     "reactivation",
     "window-union",
+    "interleaving",
 }
 
 
@@ -208,9 +213,38 @@ class ReferenceActivity:
         return LemmaReport(UNION_WINDOWS, True, not violations, tuple(violations), notes)
 
 
+def reference_interleaving(tg):
+    """Every rank i of y's occurrences lies between x's ranks i - d' and
+    i + d', out-of-range ranks meaning -inf and +inf."""
+    if not is_connected(tg.base):
+        return LemmaReport(INTERLEAVING, False, True, (), "underlying graph is disconnected")
+    distances = tg.base.distances
+    occurrences = tg.word.occurrences
+    violations = []
+    for x in tg.base.vertices:
+        chi = occurrences[x]
+
+        def chi_at(rank):
+            if rank < 1:
+                return float("-inf")
+            if rank > len(chi):
+                return float("inf")
+            return chi[rank - 1]
+
+        for y in tg.base.vertices:
+            if x == y:
+                continue
+            spread = distances[x][y]
+            for i, position in enumerate(occurrences[y], start=1):
+                if not chi_at(i - spread) <= position <= chi_at(i + spread):
+                    violations.append((x.token, y.token, i))
+    return LemmaReport(INTERLEAVING, True, not violations, tuple(violations))
+
+
 def witness_kinds(report):
-    if report.lemma_id == LETTER_RECURRENCE:
-        return {LETTER_RECURRENCE} if report.violations else set()
+    # letter-recurrence and interleaving witnesses start with a token, not a kind
+    if report.lemma_id in (LETTER_RECURRENCE, INTERLEAVING):
+        return {report.lemma_id} if report.violations else set()
     return {witness[0] for witness in report.violations}
 
 
@@ -223,6 +257,7 @@ def assert_matches_reference(tg):
         (check_letter_recurrence(tg), ref.letter_recurrence()),
         (check_edge_recurrence(tg), ref.edge_recurrence()),
         (check_union_windows(tg), ref.union_windows()),
+        (check_interleaving(tg), reference_interleaving(tg)),
     ]
     for report, expected in reports:
         assert report == expected, (str(tg.word), tg.start_points)
