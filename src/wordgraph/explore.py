@@ -189,9 +189,11 @@ def oracle_explore(
     costs at least one timestep and visits at most one new vertex, so the
     unvisited count is a consistent lower bound on the time still needed.
     A completed ``schedule_explore`` run is an upper bound, returned as is
-    when it meets the lower bound ``n - 1``. Disconnected graphs are
-    infeasible. Refuses more than ``vertex_limit`` vertices, and limits
-    above ``ORACLE_MAX_VERTICES``, since the state space is 2^n * n.
+    when it meets the lower bound ``n - 1``. A popped state is skipped when
+    its vertex was reached no later with one more vertex visited, which
+    loses no optimum. Disconnected graphs are infeasible. Refuses more than
+    ``vertex_limit`` vertices, and limits above ``ORACLE_MAX_VERTICES``,
+    since the state space is 2^n * n.
     """
     if vertex_limit > ORACLE_MAX_VERTICES:
         raise ValueError(
@@ -242,6 +244,18 @@ def oracle_explore(
         mask, v = divmod(key, n)
         if mask == full:
             break
+        # Skip a state dominated by one at the same vertex, reached no later
+        # with one more vertex visited: that state can wait here and copy any
+        # continuation of this one. Its f is smaller, so it, or a state that
+        # dominates it, was expanded first.
+        rest = full ^ mask
+        while rest:
+            low = rest & -rest
+            if best.get(key + low * n, t + 1) <= t:
+                break
+            rest ^= low
+        if rest:
+            continue
         unvisited = n - mask.bit_count()
         for u, bit, ts in rows[v]:
             if t >= ts[-1]:

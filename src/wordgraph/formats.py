@@ -126,17 +126,18 @@ def emit_graph(obj: StaticGraph | TemporalGraph, fmt: str = "json") -> str:
     raise ValueError(f"unknown format: {fmt!r}")
 
 
-def schedule_to_document(schedule: Schedule, visited_all: bool) -> dict[str, Any]:
-    return {
-        "start": schedule.start,
-        "steps": [{"edge": list(edge), "t": t} for edge, t in schedule.steps],
-        "length": schedule.length,
-        "visited_all": visited_all,
-    }
-
-
 def emit_schedule(schedule: Schedule, visited_all: bool) -> str:
-    return json.dumps(schedule_to_document(schedule, visited_all), indent=2) + "\n"
+    """The schedule as ``json.dumps(..., indent=2)`` would render it."""
+    steps = [
+        f'{{\n      "edge": {_json_edge(edge, 6)},\n      "t": {t}\n    }}'
+        for edge, t in schedule.steps
+    ]
+    return (
+        f'{{\n  "start": {encode_basestring_ascii(schedule.start)},\n'
+        f'  "steps": {_json_list(steps, 2)},\n'
+        f'  "length": {schedule.length},\n'
+        f'  "visited_all": {"true" if visited_all else "false"}\n}}\n'
+    )
 
 
 def parse_schedule(text: str) -> tuple[Schedule, bool]:

@@ -11,6 +11,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from operator import lt
 from typing import Iterable, Iterator
 
 from .words import Symbol, Word
@@ -97,20 +98,17 @@ def build_graph(word: Word) -> StaticGraph:
 
 
 def _alternating_positions(px: tuple[int, ...], py: tuple[int, ...]) -> bool:
-    # Merge two strictly increasing position runs; alternation fails exactly
-    # when two consecutive merged positions come from the same run.
-    i = j = 0
-    last_was_x: bool | None = None
-    while i < len(px) or j < len(py):
-        take_x = j == len(py) or (i < len(px) and px[i] < py[j])
-        if take_x == last_was_x:
-            return False
-        last_was_x = take_x
-        if take_x:
-            i += 1
-        else:
-            j += 1
-    return True
+    # Two nonempty, strictly increasing position runs alternate exactly when,
+    # with px the run that starts first, px is as long as py or one longer
+    # and px[i] < py[i] < px[i + 1] throughout. Most pairs fail on the
+    # lengths or on px's second position, so those are tested first.
+    if py[0] < px[0]:
+        px, py = py, px
+    if not 0 <= len(px) - len(py) <= 1:
+        return False
+    if len(px) > 1 and px[1] < py[0]:
+        return False
+    return all(map(lt, px, py)) and all(map(lt, py, px[1:]))
 
 
 def _bfs_distances(graph: StaticGraph, source: Symbol) -> dict[Symbol, int]:

@@ -187,6 +187,32 @@ class TestScheduleDocuments:
             "visited_all": False,
         }
 
+    @pytest.mark.parametrize("visited_all", [True, False])
+    @pytest.mark.parametrize(
+        "tokens",
+        [
+            [],
+            ["é", "α", '"', "\\", "\x01", "\x7f"],
+            ["a", "\u2603", "\U0001f600", "a", "é\\α", "\U0001f600"],
+        ],
+    )
+    def test_bytes_match_json_dumps(self, tokens, visited_all):
+        start = Symbol(tokens[0] if tokens else "s")
+        steps = tuple(
+            ((Symbol(u), Symbol(v)), t)
+            for t, (u, v) in enumerate(zip(tokens, tokens[1:]), start=1)
+        )
+        schedule = Schedule(start, steps)
+        doc = {
+            "start": schedule.start,
+            "steps": [{"edge": list(edge), "t": t} for edge, t in schedule.steps],
+            "length": schedule.length,
+            "visited_all": visited_all,
+        }
+        text = emit_schedule(schedule, visited_all)
+        assert text == json.dumps(doc, indent=2) + "\n"
+        assert text.isascii()
+
     def test_inconsistent_length_rejected(self):
         text = json.dumps(
             {

@@ -3,10 +3,13 @@
 ``reference_oracle`` is plain Dijkstra over (visited set, current vertex)
 states keyed by symbols, with no lower or upper bound. ``oracle_explore``
 must give the same length and feasibility, and a witness that validates,
-on every instance below.
+on every instance below. The larger layered powers, where dominance
+pruning acts, are too costly for the reference; their optima are pinned
+instead, and one witness is pinned byte for byte through the CLI.
 """
 
 import heapq
+import json
 
 import pytest
 
@@ -19,6 +22,7 @@ from test_acceptance import (
     corpus_words,
     short_words,
 )
+from wordgraph.cli import run_cli
 from wordgraph.explore import ORACLE_MAX_VERTICES, oracle_explore, validate_schedule
 from wordgraph.families import layered_word, path_word
 from wordgraph.temporal import build_temporal, next_activation
@@ -117,3 +121,43 @@ def test_limit_above_the_maximum_is_refused():
     tg = build_temporal(Word.from_chars("121323"))
     with pytest.raises(ValueError, match="exceeds the maximum"):
         oracle_explore(tg, Symbol("1"), vertex_limit=ORACLE_MAX_VERTICES + 1)
+
+
+# Optima from (1,1) of layered (n, d)^n, as recorded by the benchmark's
+# oracle workload.
+LAYERED_POWER_OPTIMA = {(12, 4): 11, (12, 6): 14, (14, 7): 19, (15, 5): 17}
+
+
+@pytest.mark.parametrize("n, d", sorted(LAYERED_POWER_OPTIMA))
+def test_layered_power_optima(n, d):
+    tg = build_temporal(power(layered_word(n, d), n))
+    result = oracle_explore(tg, Symbol("(1,1)"))
+    assert result.length == LAYERED_POWER_OPTIMA[n, d]
+    assert validate_schedule(tg, result.schedule) is None
+
+
+def test_cli_witness_bytes_on_layered_12_6(tmp_path, capsys):
+    path = tmp_path / "layered.txt"
+    path.write_text(str(power(layered_word(12, 6), 12)) + "\n")
+    assert run_cli(["oracle", str(path), "--start", "(1,1)"]) == 0
+    walk = [
+        ("(1,1)", "(1,2)", 1),
+        ("(1,2)", "(1,3)", 2),
+        ("(1,3)", "(1,4)", 3),
+        ("(1,4)", "(1,5)", 4),
+        ("(1,5)", "(2,6)", 6),
+        ("(2,6)", "(2,5)", 7),
+        ("(2,5)", "(1,6)", 9),
+        ("(1,6)", "(1,5)", 10),
+        ("(1,5)", "(2,4)", 11),
+        ("(2,4)", "(2,3)", 12),
+        ("(2,3)", "(2,2)", 13),
+        ("(2,2)", "(2,1)", 14),
+    ]
+    doc = {
+        "start": "(1,1)",
+        "steps": [{"edge": [u, v], "t": t} for u, v, t in walk],
+        "length": 14,
+        "visited_all": True,
+    }
+    assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
