@@ -74,17 +74,20 @@ def _graph_json(graph: StaticGraph, tail: str = "") -> str:
 
 
 def _temporal_json(tg: TemporalGraph) -> str:
-    # Each base edge is rendered once and reused at every activation; a
-    # timestep's edges are put in edge order through their ranks.
-    ordered = sorted(tg.base.edges)
-    rank = {edge: i for i, edge in enumerate(ordered)}
-    blocks = [_json_edge(e, 8) for e in ordered]
+    # Each base edge is rendered once and appended at each of its activation
+    # times; walking the edges in order leaves every timestep's list in edge
+    # order.
+    active: list[list[str]] = [[] for _ in range(tg.lifetime)]
+    times = tg._activation_times
+    for edge in sorted(tg.base.edges):
+        block = _json_edge(edge, 8)
+        for t in times[edge]:
+            active[t - 1].append(block)
     quoted = {v: encode_basestring_ascii(v) for v in tg.base.vertices}
     symbols = tg.word.symbols
     timesteps = []
-    for t, (lo, hi) in enumerate(tg.factor_bounds, start=1):
+    for (lo, hi), edges in zip(tg.factor_bounds, active):
         letters = [quoted[v] for v in sorted(set(symbols[lo - 1 : hi]))]
-        edges = [blocks[i] for i in sorted(map(rank.__getitem__, tg.edges_at(t)))]
         timesteps.append(
             f'{{\n      "range": [\n        {lo},\n        {hi}\n      ],\n'
             f'      "letters": {_json_list(letters, 6)},\n'

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf
-from operator import le
+from operator import le, sub
 
 from .graphs import diameter, is_connected
 from .temporal import TemporalGraph
@@ -73,9 +73,19 @@ def _vacuous(lemma_id: str, note: str) -> LemmaReport:
     return LemmaReport(lemma_id, False, True, (), note)
 
 
+def _largest_gap(times: tuple[int, ...], lifetime: int) -> int:
+    """The largest step between consecutive entries of (0, *times,
+    lifetime + 1). A window of k consecutive timesteps inside [1, lifetime]
+    holds none of the increasing ``times`` exactly when this exceeds k."""
+    bounds = (0, *times, lifetime + 1)
+    return max(map(sub, bounds[1:], bounds))
+
+
 def _uncovered_windows(times: tuple[int, ...], size: int, lifetime: int):
     """Ascending starts t of the windows [t, t+size-1] inside [1, lifetime]
     that hold none of the increasing ``times``."""
+    if _largest_gap(times, lifetime) <= size:
+        return
     last = lifetime - size + 1
     bounds = (0, *times, lifetime + 1)
     for a, b in zip(bounds, bounds[1:]):
@@ -129,6 +139,10 @@ def check_occurrence_balance(tg: TemporalGraph) -> LemmaReport:
     if not is_connected(tg.base):
         return _vacuous(OCCURRENCE_BALANCE, "underlying graph is disconnected")
     counts = {v: len(tg.word.occurrences[v]) for v in tg.base.vertices}
+    # Counts within 1 on every edge bound |count x - count y| by the length
+    # of a shortest x-y path, which is their distance (triangle inequality).
+    if all(abs(counts[u] - counts[v]) <= 1 for u, v in tg.base.edges):
+        return _checked(OCCURRENCE_BALANCE, [])
     distances = tg.base.distances
     violations: list[tuple] = []
     vertices = tg.base.vertices
@@ -140,13 +154,39 @@ def check_occurrence_balance(tg: TemporalGraph) -> LemmaReport:
     return _checked(OCCURRENCE_BALANCE, violations)
 
 
+def _interleaved(chi: tuple[int, ...], psi: tuple[int, ...], spread: int) -> bool:
+    """Every rank i of ``psi`` lies between ranks i - spread and i + spread
+    of ``chi``, out-of-range ranks meaning -inf and +inf.
+
+    No rank i - spread may pass chi's last (that bound is +inf); then it
+    suffices that chi and psi, offset by spread, are ordered both ways."""
+    return (
+        len(psi) - spread <= len(chi)
+        and all(map(le, chi, psi[spread:]))
+        and all(map(le, psi, chi[spread:]))
+    )
+
+
 def check_interleaving(tg: TemporalGraph) -> LemmaReport:
     """Occurrences of symbols at distance d' stay within d' occurrence ranks
     of each other."""
     if not is_connected(tg.base):
         return _vacuous(INTERLEAVING, "underlying graph is disconnected")
-    distances = tg.base.distances
     occurrences = tg.word.occurrences
+    # Edges certify every pair. With ranks out of range read as -inf and
+    # +inf, both directions passing on an edge (a, b) give
+    # a_at(j) <= b_at(j+1) and b_at(j-1) <= a_at(j) for every integer j:
+    # inside the ranks that is the spread-1 condition, and past them the
+    # count guards give |len a - len b| <= 1, so +inf meets +inf. Chaining
+    # these along a shortest path from x to y, s edges long, gives
+    # chi_at(i-s) <= psi[i] <= chi_at(i+s), the condition at distance s.
+    if all(
+        _interleaved(occurrences[u], occurrences[v], 1)
+        and _interleaved(occurrences[v], occurrences[u], 1)
+        for u, v in tg.base.edges
+    ):
+        return _checked(INTERLEAVING, [])
+    distances = tg.base.distances
     violations: list[tuple] = []
     for x in tg.base.vertices:
         chi = occurrences[x]
@@ -163,15 +203,9 @@ def check_interleaving(tg: TemporalGraph) -> LemmaReport:
                 continue
             spread = distances[x][y]
             psi = occurrences[y]
-            # All ranks hold at once when no rank i - spread passes chi's
-            # last (that bound is +inf) and chi and psi, offset by spread,
-            # are ordered both ways. Only a failing pair is walked rank by
-            # rank, so witnesses keep their order.
-            if (
-                len(psi) - spread <= len(chi)
-                and all(map(le, chi, psi[spread:]))
-                and all(map(le, psi, chi[spread:]))
-            ):
+            # Only a failing pair is walked rank by rank, so witnesses keep
+            # their order.
+            if _interleaved(chi, psi, spread):
                 continue
             for i, position in enumerate(psi, start=1):
                 if not chi_at(i - spread) <= position <= chi_at(i + spread):
@@ -198,10 +232,16 @@ def check_union_windows(tg: TemporalGraph) -> LemmaReport:
     else:
         skipped.append("first-window")
 
+    # (b) fires on an edge only through a gap of at least dia + 2 after an
+    # activation, or a last activation at t <= T-dia-1, whose gap to T+1 is
+    # then at least dia + 2; (c) needs such a gap too. Every other edge
+    # passes both.
+    gapped = [e for e in edges if _largest_gap(times[e], lifetime) > dia + 1]
+
     if lifetime - dia - 1 >= 1:
         late = [
             (a, u, v)
-            for u, v in edges
+            for u, v in gapped
             for a, b in zip(times[u, v], (*times[u, v][1:], inf))
             if a <= lifetime - dia - 1 and b > a + dia + 1
         ]
@@ -213,7 +253,7 @@ def check_union_windows(tg: TemporalGraph) -> LemmaReport:
     if lifetime - dia >= 1:
         uncovered = [
             (t, u, v)
-            for u, v in edges
+            for u, v in gapped
             for t in _uncovered_windows(times[u, v], dia + 1, lifetime)
         ]
         for t, u, v in sorted(uncovered):

@@ -78,10 +78,13 @@ class TemporalGraph:
     @cached_property
     def letter_times(self) -> dict[Symbol, tuple[int, ...]]:
         """Strictly increasing timesteps whose factor holds each vertex."""
-        starts = self.start_points
+        # step[p] is the timestep holding 1-based position p.
+        step = [0]
+        for t, (lo, hi) in enumerate(self.factor_bounds, start=1):
+            step += [t] * (hi - lo + 1)
         occurrences = self.word.occurrences
         return {
-            v: tuple(dict.fromkeys(bisect_right(starts, p) for p in occurrences[v]))
+            v: tuple(dict.fromkeys(map(step.__getitem__, occurrences[v])))
             for v in self.base.vertices
         }
 

@@ -8,13 +8,18 @@ facts from per-vertex letter times, so ``check_letter_recurrence``,
 ``check_edge_recurrence``, ``check_union_windows``, ``always_connected``,
 ``edges_at``, ``next_activation``, ``is_edge_active`` and the temporal JSON
 must agree with them exactly, witnesses and their order included.
-``reference_interleaving`` walks every vertex pair rank by rank;
-``check_interleaving`` does so only for a pair its slice comparisons reject.
+``reference_interleaving`` walks every vertex pair rank by rank and
+``reference_occurrence_balance`` compares every pair's counts;
+``check_interleaving`` and ``check_occurrence_balance`` read pairs only when
+some base edge fails its local certificate.
 
-Words alone never violate a checker, so two probe sets build temporal graphs
-that no word yields: start points other than the greedy ones, and a base
-graph that is not the word's own. Between them they produce every witness
-kind, and each kind is compared.
+Words alone never violate a checker, so three probe sets build temporal
+graphs that no word yields: start points other than the greedy ones, a base
+graph that is not the word's own, and a connected spanning subgraph of the
+word's own graph. The first two between them produce every witness kind, and
+each kind is compared. In the third every edge alternates, so the edge
+certificates pass, while distances and the diameter grow past those of the
+word's own graph.
 """
 
 import itertools
@@ -31,11 +36,13 @@ from wordgraph.lemmas import (
     EDGE_RECURRENCE,
     INTERLEAVING,
     LETTER_RECURRENCE,
+    OCCURRENCE_BALANCE,
     UNION_WINDOWS,
     LemmaReport,
     check_edge_recurrence,
     check_interleaving,
     check_letter_recurrence,
+    check_occurrence_balance,
     check_union_windows,
 )
 from wordgraph.families import layered_word, path_word
@@ -49,6 +56,7 @@ WITNESS_KINDS = {
     "first-window",
     "reactivation",
     "window-union",
+    "occurrence-balance",
     "interleaving",
 }
 
@@ -241,9 +249,26 @@ def reference_interleaving(tg):
     return LemmaReport(INTERLEAVING, True, not violations, tuple(violations))
 
 
+def reference_occurrence_balance(tg):
+    """Every pair's occurrence counts differ by at most their distance."""
+    if not is_connected(tg.base):
+        return LemmaReport(
+            OCCURRENCE_BALANCE, False, True, (), "underlying graph is disconnected"
+        )
+    distances = tg.base.distances
+    counts = {v: len(tg.word.occurrences[v]) for v in tg.base.vertices}
+    violations = [
+        (x.token, y.token, counts[x], counts[y], distances[x][y])
+        for x, y in itertools.combinations(tg.base.vertices, 2)
+        if abs(counts[x] - counts[y]) > distances[x][y]
+    ]
+    return LemmaReport(OCCURRENCE_BALANCE, True, not violations, tuple(violations))
+
+
 def witness_kinds(report):
-    # letter-recurrence and interleaving witnesses start with a token, not a kind
-    if report.lemma_id in (LETTER_RECURRENCE, INTERLEAVING):
+    # letter-recurrence, occurrence-balance and interleaving witnesses start
+    # with a token, not a kind
+    if report.lemma_id in (LETTER_RECURRENCE, OCCURRENCE_BALANCE, INTERLEAVING):
         return {report.lemma_id} if report.violations else set()
     return {witness[0] for witness in report.violations}
 
@@ -257,6 +282,7 @@ def assert_matches_reference(tg):
         (check_letter_recurrence(tg), ref.letter_recurrence()),
         (check_edge_recurrence(tg), ref.edge_recurrence()),
         (check_union_windows(tg), ref.union_windows()),
+        (check_occurrence_balance(tg), reference_occurrence_balance(tg)),
         (check_interleaving(tg), reference_interleaving(tg)),
     ]
     for report, expected in reports:
@@ -325,6 +351,31 @@ def foreign_base_probes(rng, count):
         yield TemporalGraph(word, build_temporal(word).start_points, base)
 
 
+def spanning_subgraph_probes(rng, words):
+    """Greedy temporal graphs over a BFS spanning tree of each word's own
+    graph, when that graph is connected, half of them with some of the
+    remaining edges added back."""
+    for word in words:
+        own = build_temporal(word)
+        if not is_connected(own.base):
+            continue
+        root = rng.choice(own.base.vertices)
+        reached = {root}
+        queue = deque([root])
+        kept = []
+        while queue:
+            v = queue.popleft()
+            for u in sorted(own.base.adjacency[v] - reached):
+                reached.add(u)
+                queue.append(u)
+                kept.append(make_edge(v, u))
+        if rng.random() < 0.5:
+            rest = sorted(own.base.edges.difference(kept))
+            kept += [e for e in rest if rng.random() < 0.3]
+        base = StaticGraph.from_edges(own.base.vertices, kept)
+        yield TemporalGraph(word, own.start_points, base)
+
+
 def test_non_greedy_start_points_probe():
     rng = random.Random(5)
     kinds = set()
@@ -339,3 +390,17 @@ def test_foreign_base_probe():
     for tg in foreign_base_probes(rng, 1500):
         kinds |= assert_matches_reference(tg)
     assert kinds == WITNESS_KINDS
+
+
+def test_spanning_subgraph_probe():
+    rng = random.Random(7)
+    words = [w for w in short_words(3000, seed=7) if len(w.alphabet) >= 3]
+    words += [power(path_word(n), n) for n in (4, 6, 9)]
+    words += [power(layered_word(n, d), 4) for n, d in ((6, 3), (8, 4), (9, 3))]
+    words += [power(Word.from_tokens(str(i) for i in range(n)), 6) for n in (4, 6, 8)]
+    grown = 0
+    for tg in spanning_subgraph_probes(rng, words):
+        assert_matches_reference(tg)
+        grown += tg.base.distances != build_temporal(tg.word).base.distances
+    # most probes must stretch some distance past the word's own graph
+    assert grown > 150
