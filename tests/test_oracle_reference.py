@@ -6,10 +6,16 @@ must give the same length and feasibility, and a witness that validates,
 on every instance below. The larger layered powers, where dominance
 pruning acts, are too costly for the reference; their optima are pinned
 instead, and one witness is pinned byte for byte through the CLI.
+
+``unpruned_oracle`` is the oracle's A* loop without the twin-quotient
+pruning. The pruned search must return an equal result, schedule included,
+wherever the twin gate opens and wherever it stays closed.
 """
 
 import heapq
 import json
+import random
+from bisect import bisect_right
 
 import pytest
 
@@ -23,9 +29,18 @@ from test_acceptance import (
     short_words,
 )
 from wordgraph.cli import run_cli
-from wordgraph.explore import ORACLE_MAX_VERTICES, oracle_explore, validate_schedule
+from wordgraph.explore import (
+    ORACLE_MAX_VERTICES,
+    OracleResult,
+    Schedule,
+    Step,
+    oracle_explore,
+    schedule_explore,
+    validate_schedule,
+)
 from wordgraph.families import layered_word, path_word
-from wordgraph.temporal import build_temporal, next_activation
+from wordgraph.graphs import DisconnectedGraphError, make_edge
+from wordgraph.temporal import TemporalGraph, build_temporal, next_activation
 from wordgraph.words import Symbol, Word, power
 
 
@@ -161,3 +176,176 @@ def test_cli_witness_bytes_on_layered_12_6(tmp_path, capsys):
         "visited_all": True,
     }
     assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
+
+
+def unpruned_oracle(
+    tg: TemporalGraph, start: Symbol, vertex_limit: int = 15
+) -> OracleResult:
+    """``oracle_explore`` without the twin-quotient pruning: the same A*
+    loop, bounds and dominance skip, so the same first goal and witness."""
+    if vertex_limit > ORACLE_MAX_VERTICES:
+        raise ValueError(
+            f"oracle refused: a vertex limit of {vertex_limit} exceeds the "
+            f"maximum of {ORACLE_MAX_VERTICES}"
+        )
+    graph = tg.base
+    graph.require_vertex(start)
+    vertices = graph.vertices
+    n = len(vertices)
+    if n > vertex_limit:
+        raise ValueError(
+            f"oracle refused: {n} vertices exceeds the limit of {vertex_limit}"
+        )
+    if n == 1:
+        return OracleResult(0, Schedule(start))
+    try:
+        scheduled = schedule_explore(tg, start)
+    except DisconnectedGraphError:
+        return OracleResult(None, None)
+    upper = scheduled.schedule.length if scheduled.visited_all else tg.lifetime
+    if scheduled.visited_all and upper == n - 1:
+        return OracleResult(upper, scheduled.schedule)
+
+    # Vertex ids follow token order, so each row lists (neighbour id, its
+    # bit, activation times) in token order.
+    index = {v: i for i, v in enumerate(vertices)}
+    times = tg._activation_times
+    rows = [
+        [
+            (index[u], 1 << index[u], times[make_edge(v, u)])
+            for u in sorted(graph.adjacency[v])
+        ]
+        for v in vertices
+    ]
+    full = (1 << n) - 1
+    start_key = (1 << index[start]) * n + index[start]
+    # States are keyed by mask * n + vertex id; the heap orders them by
+    # (time + unvisited count, later time first, key).
+    best = {start_key: 0}
+    parent: dict[int, int] = {}
+    heap = [(n - 1, 0, start_key)]
+    while heap:
+        _, neg_t, key = heapq.heappop(heap)
+        t = -neg_t
+        if best[key] != t:
+            continue
+        mask, v = divmod(key, n)
+        if mask == full:
+            break
+        # Skip a state dominated by one at the same vertex, reached no later
+        # with one more vertex visited: that state can wait here and copy any
+        # continuation of this one. Its f is smaller, so it, or a state that
+        # dominates it, was expanded first.
+        rest = full ^ mask
+        while rest:
+            low = rest & -rest
+            if best.get(key + low * n, t + 1) <= t:
+                break
+            rest ^= low
+        if rest:
+            continue
+        unvisited = n - mask.bit_count()
+        for u, bit, ts in rows[v]:
+            if t >= ts[-1]:
+                continue
+            t_next = ts[bisect_right(ts, t)]
+            f = t_next + (unvisited if mask & bit else unvisited - 1)
+            if f > upper:
+                continue
+            state = (mask | bit) * n + u
+            if t_next < best.get(state, upper + 1):
+                best[state] = t_next
+                parent[state] = key
+                heapq.heappush(heap, (f, -t_next, state))
+    else:
+        return OracleResult(None, None)
+
+    steps: list[Step] = []
+    while key != start_key:
+        prev = parent[key]
+        steps.append(((vertices[prev % n], vertices[key % n]), best[key]))
+        key = prev
+    steps.reverse()
+    schedule = Schedule(start, tuple(steps))
+    return OracleResult(schedule.length, schedule)
+
+
+def assert_same_witness(tg, start):
+    pruned = oracle_explore(tg, start, vertex_limit=ORACLE_MAX_VERTICES)
+    assert pruned == unpruned_oracle(tg, start, vertex_limit=ORACLE_MAX_VERTICES)
+
+
+@pytest.mark.parametrize("n, d", sorted(LAYERED_POWER_OPTIMA) + [(16, 4), (16, 8)])
+def test_pruned_witness_on_layered_powers(n, d, gate_opened):
+    tg = build_temporal(power(layered_word(n, d), n))
+    assert_same_witness(tg, Symbol("(1,1)"))
+    assert len(gate_opened) == 1
+
+
+def layered_family_cases():
+    layered = {(n, d, 1) for n, d in LAYERED_FAMILY_GRID}
+    layered |= {(2 * d, d, 2 * d) for d in LAYERED_GROWTH_OPTIMA}
+    return [
+        pytest.param(power(layered_word(n, d), k), id=f"layered-{n}-{d}^{k}")
+        for n, d, k in sorted(layered)
+    ]
+
+
+@pytest.mark.parametrize("word", layered_family_cases())
+def test_pruned_witness_on_layered_family_from_every_start(word):
+    tg = build_temporal(word)
+    for start in tg.base.vertices:
+        assert_same_witness(tg, start)
+
+
+@pytest.mark.parametrize("n", range(2, 12))
+def test_pruned_witness_on_complete_permutation_powers(n):
+    tg = build_temporal(Word.from_tokens([f"k{v}" for v in range(n)] * n))
+    for start in tg.base.vertices:
+        assert_same_witness(tg, start)
+
+
+def twinned(word, symbol, copies):
+    """``word`` with each ``symbol`` followed by ``copies`` fresh symbols.
+    They join its factors and alternate with whatever it alternates with,
+    so it and they form a class of closed twins."""
+    extra = [symbol + "'" * i for i in range(1, copies + 1)]
+    tokens = []
+    for sym in word.symbols:
+        tokens += [sym, *extra] if sym == symbol else [sym]
+    return Word.from_tokens(tokens)
+
+
+def with_closed_twins(word, rng):
+    return twinned(word, rng.choice(sorted(word.alphabet)), rng.choice((1, 2)))
+
+
+def permutation_power_words(count, seed):
+    # Blocks of random permutations repeated: two symbols alternate exactly
+    # when every block orders them alike, so the graphs are dense and the
+    # oracle searches rather than returning the scheduler's walk.
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(5, 7)
+        blocks = [rng.sample([f"r{i}" for i in range(n)], n) for _ in range(rng.choice((2, 3)))]
+        out.append(Word.from_tokens([tok for _ in range(6) for block in blocks for tok in block]))
+    return out
+
+
+def test_pruned_witness_on_words_with_injected_twins(gate_opened):
+    rng = random.Random(11)
+    words = corpus_words(count=1000, seed=17) + short_words(600, seed=17)
+    words += permutation_power_words(200, seed=17)
+    checked = opened = 0
+    for word in words:
+        tg = build_temporal(with_closed_twins(word, rng))
+        if len(tg.base.vertices) > 10:
+            continue
+        before = len(gate_opened)
+        for start in tg.base.vertices:
+            assert_same_witness(tg, start)
+        checked += 1
+        opened += len(gate_opened) > before
+    assert checked >= 300
+    assert opened >= 20

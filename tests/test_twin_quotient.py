@@ -1,0 +1,204 @@
+"""Temporal twin classes and the quotient search that prunes the oracle.
+
+The latest times of ``_TwinQuotient.latest_times`` are compared with a
+brute-force search over concrete (visited set, vertex) states: every state
+reached at time e must get its exact latest time when that is at least e,
+and a value below e otherwise. The gate is observed through the
+``gate_opened`` fixture.
+"""
+
+import heapq
+import random
+from bisect import bisect_right
+from functools import lru_cache
+
+import pytest
+
+from test_acceptance import REFERENCE_TEMPORAL_WORD
+from test_oracle_reference import (
+    permutation_power_words,
+    reference_oracle,
+    twinned,
+    unpruned_oracle,
+    with_closed_twins,
+)
+from wordgraph.explore import (
+    ORACLE_MAX_VERTICES,
+    _twin_classes,
+    _TwinQuotient,
+    oracle_explore,
+)
+from wordgraph.families import layered_word
+from wordgraph.graphs import is_connected, make_edge
+from wordgraph.temporal import build_temporal
+from wordgraph.words import Symbol, Word, power
+
+# Three blocks of a permutation of r0..r6, repeated: a connected word with
+# no temporal twins, on which the oracle searches from r0.
+TWIN_FREE_BLOCKS = ["r2 r1 r3 r6 r5 r0 r4", "r1 r2 r3 r5 r4 r0 r6", "r1 r4 r5 r3 r6 r2 r0"]
+
+
+def twin_free_word():
+    return Word.from_tokens(" ".join(TWIN_FREE_BLOCKS * 6).split())
+
+
+def classes_of(word):
+    tg = build_temporal(word)
+    return tg, _TwinQuotient(tg, _twin_classes(tg)).classes
+
+
+def named(tg, classes):
+    vertices = tg.base.vertices
+    return [({vertices[i] for i in ids}, closed) for ids, closed in classes]
+
+
+@pytest.mark.parametrize("n, d, k", [(6, 3, 1), (8, 4, 8), (12, 4, 1), (12, 6, 12), (15, 5, 15)])
+def test_layered_word_has_one_open_class_per_layer(n, d, k):
+    tg, classes = classes_of(power(layered_word(n, d), k))
+    assert sorted(len(ids) for ids, _ in classes) == [n // d] * d
+    assert not any(closed for _, closed in classes)
+
+
+def test_an_injected_copy_joins_a_closed_class():
+    word = twin_free_word()
+    tg, classes = classes_of(word)
+    assert all(len(ids) == 1 for ids, _ in classes)
+    for copies in (1, 2):
+        tg, classes = classes_of(twinned(word, "r3", copies))
+        members = {"r3", *("r3" + "'" * i for i in range(1, copies + 1))}
+        assert (members, True) in named(tg, classes)
+        assert sum(len(ids) > 1 for ids, _ in classes) == 1
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_complete_permutation_power_is_one_closed_class(n):
+    tg, classes = classes_of(Word.from_tokens([f"k{v}" for v in range(n)] * n))
+    assert classes == [(tuple(range(n)), True)]
+
+
+@pytest.mark.parametrize("text, pair", [("baca", {"a", "b"}), ("cbac", {"a", "c"})])
+def test_equal_neighbourhoods_with_different_letter_times_stay_apart(text, pair):
+    # The pair has the same open (baca) or closed (cbac) neighbourhood,
+    # but different letter times, so their edges activate differently.
+    tg, classes = classes_of(Word.from_chars(text))
+    a, b = sorted(pair)
+    adjacency = tg.base.adjacency
+    assert adjacency[a] == adjacency[b] or adjacency[a] | {a} == adjacency[b] | {b}
+    assert tg.letter_times[a] != tg.letter_times[b]
+    assert not any(pair <= members for members, _ in named(tg, classes))
+
+
+def test_a_closed_class_revisits_only_another_visited_member():
+    tg = build_temporal(Word.from_tokens([f"k{v}" for v in range(4)] * 4))
+    quotient = _TwinQuotient(tg, _twin_classes(tg))
+    stride = quotient.strides[0]
+    # One member visited, and the agent on it: only a new visit is possible.
+    assert [(s, new) for s, _, new in quotient.moves(stride)] == [(2 * stride, True)]
+    assert [(s, new) for s, _, new in quotient.moves(2 * stride)] == [
+        (3 * stride, True),
+        (2 * stride, False),
+    ]
+    assert [(s, new) for s, _, new in quotient.moves(4 * stride)] == [(4 * stride, False)]
+
+
+def test_an_open_class_has_no_move_inside_itself():
+    tg = build_temporal(power(layered_word(6, 3), 6))
+    quotient = _TwinQuotient(tg, _twin_classes(tg))
+    k = len(quotient.classes)
+    # Every vertex visited: only revisits remain, and none stays in c.
+    code = sum(len(ids) * stride for (ids, _), stride in zip(quotient.classes, quotient.strides))
+    for c in range(k):
+        moves = quotient.moves(code + c)
+        assert moves and all(s % k != c for s, _, _ in moves)
+
+
+def brute_latest(tg, start, target):
+    """{(mask, vertex id): (e, L)} for every state a walk from ``start``
+    reaches by ``target``: e is its earliest time, and L the last time from
+    which some walk still visits every vertex by ``target``, or -1."""
+    vertices = tg.base.vertices
+    n = len(vertices)
+    ids = {v: i for i, v in enumerate(vertices)}
+    full = (1 << n) - 1
+    moves = [
+        [(ids[u], tg._activation_times[make_edge(v, u)]) for u in tg.base.adjacency[v]]
+        for v in vertices
+    ]
+
+    def next_time(ts, t):
+        i = bisect_right(ts, t)
+        return ts[i] if i < len(ts) and ts[i] <= target else None
+
+    @lru_cache(maxsize=None)
+    def finishes(mask, v, t):
+        return mask == full or any(
+            (t_next := next_time(ts, t)) is not None and finishes(mask | 1 << u, u, t_next)
+            for u, ts in moves[v]
+        )
+
+    s = ids[start]
+    earliest = {(1 << s, s): 0}
+    heap = [(0, 1 << s, s)]
+    while heap:
+        t, mask, v = heapq.heappop(heap)
+        if earliest[mask, v] != t:
+            continue
+        for u, ts in moves[v]:
+            t_next = next_time(ts, t)
+            state = (mask | 1 << u, u)
+            if t_next is not None and t_next < earliest.get(state, target + 1):
+                earliest[state] = t_next
+                heapq.heappush(heap, (t_next, *state))
+    return {
+        state: (e, max((t for t in range(e, target + 1) if finishes(*state, t)), default=-1))
+        for state, e in earliest.items()
+    }
+
+
+def latest_cases():
+    words = [power(layered_word(6, 3), 6), power(layered_word(8, 4), 8)]
+    words.append(Word.from_tokens([f"k{v}" for v in range(5)] * 5))
+    words.append(twin_free_word())
+    words.append(Word.from_chars(REFERENCE_TEMPORAL_WORD))
+    rng = random.Random(5)
+    for word in permutation_power_words(60, seed=5):
+        word = with_closed_twins(word, rng)
+        if len(word.alphabet) <= 8 and is_connected(build_temporal(word).base):
+            words.append(word)
+    return [pytest.param(w, id=f"case-{i}") for i, w in enumerate(words[:14])]
+
+
+@pytest.mark.parametrize("word", latest_cases())
+def test_latest_times_match_brute_force(word):
+    tg = build_temporal(word)
+    start = tg.base.vertices[0]
+    quotient = _TwinQuotient(tg, _twin_classes(tg))
+    solved = quotient.latest_times(0, tg.lifetime)
+    optimum = reference_oracle(tg, start, vertex_limit=ORACLE_MAX_VERTICES)
+    if optimum is None:
+        assert solved is None
+        return
+    target, latest = solved
+    assert target == optimum
+    n = len(tg.base.vertices)
+    for (mask, v), (e, last) in brute_latest(tg, start, target).items():
+        s = quotient.cls[v] + sum(
+            quotient.strides[quotient.cls[i]] for i in range(n) if mask >> i & 1
+        )
+        if last >= e:
+            assert latest[s] == last
+        else:
+            assert latest[s] < e
+
+
+def test_gate_opens_on_a_large_reduction_only(gate_opened):
+    # A class of two or three among singletons leaves 3/4 or 1/2 of the
+    # states, so the quotient would cost more than it prunes.
+    for copies in (0, 1, 2):
+        tg = build_temporal(twinned(twin_free_word(), "r3", copies))
+        start = Symbol("r0")
+        assert oracle_explore(tg, start) == unpruned_oracle(tg, start)
+    assert gate_opened == []
+    tg = build_temporal(power(layered_word(12, 4), 12))
+    assert oracle_explore(tg, Symbol("(1,1)")) == unpruned_oracle(tg, Symbol("(1,1)"))
+    assert gate_opened == [tg]
