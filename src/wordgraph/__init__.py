@@ -19,16 +19,7 @@ from .explore import (
     schedule_explore,
     validate_schedule,
 )
-from .families import (
-    LayeredFamilySpec,
-    OutOfFormulaRangeError,
-    PathFamilySpec,
-    layered_edge_oracle,
-    layered_word,
-    path_word,
-    predicted_path_timesteps,
-    predicted_symbol_at,
-)
+from .families import layered_word, path_word
 from .formats import (
     ParseError,
     emit_graph,
@@ -44,7 +35,6 @@ from .graphs import (
     StaticGraph,
     build_graph,
     diameter,
-    distance,
     is_connected,
     make_edge,
     min_degree,
@@ -67,22 +57,18 @@ from .temporal import (
     next_activation,
     start_points,
 )
-from .words import Symbol, Word, alternates, occurrence_indices, power, project
+from .words import Symbol, Word, power
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Symbol",
     "Word",
-    "project",
-    "alternates",
     "power",
-    "occurrence_indices",
     "StaticGraph",
     "Edge",
     "make_edge",
     "build_graph",
-    "distance",
     "diameter",
     "min_degree",
     "is_connected",
@@ -101,14 +87,8 @@ __all__ = [
     "validate_schedule",
     "oracle_explore",
     "exploration_bound",
-    "PathFamilySpec",
-    "LayeredFamilySpec",
-    "OutOfFormulaRangeError",
     "path_word",
-    "predicted_symbol_at",
-    "predicted_path_timesteps",
     "layered_word",
-    "layered_edge_oracle",
     "LemmaReport",
     "CHECKS",
     "run_all",

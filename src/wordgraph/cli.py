@@ -15,8 +15,8 @@ import sys
 from functools import cache
 from pathlib import Path
 
+from . import families
 from .explore import exploration_bound, oracle_explore, schedule_explore
-from .families import LayeredFamilySpec, PathFamilySpec, layered_word, path_word
 from .formats import (
     ParseError,
     emit_graph,
@@ -88,10 +88,10 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_gen(args) -> int:
     if args.family == "path":
-        word = PathFamilySpec(args.n, args.k).build()
+        base = families.path_word(args.n)
     else:
-        word = LayeredFamilySpec(args.n, args.d, args.k).build()
-    sys.stdout.write(emit_word(word))
+        base = families.layered_word(args.n, args.d)
+    sys.stdout.write(emit_word(power(base, args.k)))
     return 0
 
 
@@ -126,7 +126,7 @@ def _parse_power_mode(spec: str, n: int) -> int:
 
 
 def _bench_row(family: str, n: int, d_param: int | None, k: int) -> dict:
-    base = path_word(n) if family == "path" else layered_word(n, d_param)
+    base = families.path_word(n) if family == "path" else families.layered_word(n, d_param)
     tg = build_temporal(power(base, k))
     start = min(tg.base.vertices)
     result = schedule_explore(tg, start)

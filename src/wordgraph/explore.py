@@ -5,8 +5,8 @@ Two entry points answer the same question at different costs:
 * ``schedule_explore`` realises a spanning visiting walk as a temporal walk by
   waiting at each vertex for the next activation of the walk's next edge. Its
   length is structurally bounded by 2(n-1)(B+1), where B is the minimum
-  degree (always-connected mode) or the diameter (general mode), provided the
-  lifetime is long enough.
+  degree when every timestep is connected and the diameter otherwise,
+  provided the lifetime is long enough.
 * ``oracle_explore`` finds the exact optimum by shortest-path search over
   (visited set, current vertex) states; exponential in n, so it is guarded by
   a vertex limit. Where temporal twins shrink the state space enough, a
@@ -94,33 +94,24 @@ def schedule_explore(tg: TemporalGraph, start: Symbol) -> ExplorationResult:
     """Follow a spanning visiting walk, waiting for each edge to activate.
 
     Returns a complete schedule whenever the lifetime suffices; otherwise the
-    partial schedule built so far, with ``visited_all`` False.
+    partial schedule built so far, with ``visited_all`` False. An unknown
+    start raises ``ValueError`` and a disconnected underlying graph
+    ``DisconnectedGraphError``, both from ``spanning_walk``.
     """
-    graph = tg.base
-    graph.require_vertex(start)
-    if not is_connected(graph):
-        raise DisconnectedGraphError(
-            "temporal graph is not explorable: underlying graph is disconnected"
-        )
     steps: list[Step] = []
     waits: list[int] = []
     now = 0
-    for u, v in spanning_walk(graph, start):
+    for u, v in spanning_walk(tg.base, start):
         t = next_activation(tg, (u, v), now)
         if t is None:
-            partial = Schedule(start, tuple(steps))
-            return ExplorationResult(
-                schedule=partial,
-                visited_all=partial.visited() == frozenset(graph.vertices),
-                waits=tuple(waits),
-            )
+            break
         waits.append(t - now - 1)
         steps.append(((u, v), t))
         now = t
     schedule = Schedule(start, tuple(steps))
     return ExplorationResult(
         schedule=schedule,
-        visited_all=schedule.visited() == frozenset(graph.vertices),
+        visited_all=schedule.visited() == frozenset(tg.base.vertices),
         waits=tuple(waits),
     )
 
@@ -500,24 +491,19 @@ class _TwinQuotient:
         return bound, latest
 
 
-def exploration_bound(tg: TemporalGraph, mode: str = "auto") -> tuple[int, int]:
+def exploration_bound(tg: TemporalGraph) -> tuple[int, int]:
     """(headline bound, structural bound) for the walk-following scheduler.
 
-    Always-connected mode uses B = minimum degree, general mode B = diameter;
-    ``mode`` is "always-connected", "general", or "auto", which picks
-    always-connected mode exactly when ``tg.always_connected`` holds.
-    The headline figure is 2*B*n; the bound the construction literally
-    guarantees is 2(n-1)(B+1), counting at most B+1 timesteps per walk edge.
+    B is the minimum degree when ``tg.always_connected`` holds, else the
+    diameter. The headline figure is 2*B*n; the bound the construction
+    literally guarantees is 2(n-1)(B+1), counting at most B+1 timesteps per
+    walk edge.
     """
     graph = tg.base
     if not is_connected(graph):
         raise DisconnectedGraphError(
             "exploration bounds are undefined: underlying graph is disconnected"
         )
-    if mode == "auto":
-        mode = "always-connected" if tg.always_connected else "general"
-    elif mode not in ("always-connected", "general"):
-        raise ValueError(f"unknown mode: {mode!r}")
     n = len(graph.vertices)
-    bound_base = min_degree(graph) if mode == "always-connected" else diameter(graph)
+    bound_base = min_degree(graph) if tg.always_connected else diameter(graph)
     return 2 * bound_base * n, 2 * (n - 1) * (bound_base + 1)

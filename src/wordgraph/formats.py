@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii
-from typing import Any
 
 from .explore import Schedule
 from .graphs import Edge, StaticGraph
@@ -167,19 +166,18 @@ def parse_schedule(text: str) -> tuple[Schedule, bool]:
     return schedule, visited_all
 
 
-def report_to_document(report: LemmaReport) -> dict[str, Any]:
-    return {
-        "lemma_id": report.lemma_id,
-        "applicable": report.applicable,
-        "pass": report.passed,
-        "violations": [list(witness) for witness in report.violations],
-        "notes": report.notes,
-    }
-
-
 def emit_reports(reports: list[LemmaReport]) -> str:
     doc = {
         "pass": all(r.passed for r in reports),
-        "reports": [report_to_document(r) for r in reports],
+        "reports": [
+            {
+                "lemma_id": r.lemma_id,
+                "applicable": r.applicable,
+                "pass": r.passed,
+                "violations": [list(witness) for witness in r.violations],
+                "notes": r.notes,
+            }
+            for r in reports
+        ],
     }
     return json.dumps(doc, indent=2) + "\n"

@@ -123,13 +123,6 @@ def _bfs_distances(graph: StaticGraph, source: Symbol) -> dict[Symbol, int]:
     return dist
 
 
-def distance(graph: StaticGraph, u: Symbol, v: Symbol) -> int | None:
-    """Shortest-path length between two vertices, or None when unreachable."""
-    graph.require_vertex(u)
-    graph.require_vertex(v)
-    return graph.distances[u].get(v)
-
-
 def is_connected(graph: StaticGraph) -> bool:
     return len(_bfs_distances(graph, graph.vertices[0])) == len(graph.vertices)
 

@@ -65,12 +65,6 @@ class TemporalGraph:
         ends = tuple(s - 1 for s in self.start_points[1:]) + (len(self.word),)
         return tuple(zip(self.start_points, ends))
 
-    def factor(self, t: int) -> Word:
-        """The factor word of timestep ``t``."""
-        self._require_timestep(t)
-        lo, hi = self.factor_bounds[t - 1]
-        return Word(self.word.symbols[lo - 1 : hi])
-
     def _require_timestep(self, t: int) -> None:
         if not 1 <= t <= self.lifetime:
             raise ValueError(f"timestep {t} outside [1, {self.lifetime}]")

@@ -1,15 +1,17 @@
-"""Symbols, words, subsequence projection, and alternation.
+"""Symbols, words and word powers.
 
-Words use 1-based positions throughout the public API: the first symbol of
-``w`` is ``w.at(1)``, matching the index arithmetic used by the generator
-families and the timestep partition. Every value in this module is immutable
-after construction and safe to share between threads.
+Positions are 1-based throughout the public API: ``w.occurrences`` lists
+the symbol ``w.symbols[p - 1]`` at position ``p``, matching the index
+arithmetic used by the generator families and the timestep partition. Every
+value in this module is immutable after construction and safe to share
+between threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import Iterable, Iterator
 
 
@@ -44,8 +46,8 @@ class Symbol(str):
 class Word:
     """An immutable sequence of symbols.
 
-    A word may be empty (projections can produce the empty word); operations
-    that need a nonempty word check that themselves.
+    A word may be empty; operations that need a nonempty word check that
+    themselves.
     """
 
     symbols: tuple[Symbol, ...] = ()
@@ -53,16 +55,16 @@ class Word:
     def __post_init__(self) -> None:
         if not isinstance(self.symbols, tuple):
             object.__setattr__(self, "symbols", tuple(self.symbols))
-        for sym in self.symbols:
-            if not isinstance(sym, Symbol):
-                raise TypeError(f"words hold Symbol values, got {type(sym).__name__}")
+        if not all(map(isinstance, self.symbols, repeat(Symbol))):
+            bad = next(sym for sym in self.symbols if not isinstance(sym, Symbol))
+            raise TypeError(f"words hold Symbol values, got {type(bad).__name__}")
 
     @classmethod
     def from_tokens(cls, tokens: Iterable[str]) -> "Word":
         """Read a word from its tokens; equal tokens share one Symbol."""
         tokens = tuple(tokens)
         symbols = {tok: Symbol(tok) for tok in dict.fromkeys(tokens)}
-        return cls(tuple(symbols[tok] for tok in tokens))
+        return cls(tuple(map(symbols.__getitem__, tokens)))
 
     @classmethod
     def from_chars(cls, text: str) -> "Word":
@@ -82,15 +84,6 @@ class Word:
             acc.setdefault(sym, []).append(pos)
         return {sym: tuple(positions) for sym, positions in acc.items()}
 
-    def at(self, position: int) -> Symbol:
-        """Return the symbol at a 1-based position."""
-        if not 1 <= position <= len(self.symbols):
-            raise IndexError(f"position {position} outside [1, {len(self.symbols)}]")
-        return self.symbols[position - 1]
-
-    def tokens(self) -> list[str]:
-        return list(self.symbols)
-
     def __len__(self) -> int:
         return len(self.symbols)
 
@@ -101,41 +94,9 @@ class Word:
         return " ".join(self.symbols)
 
 
-def project(word: Word, symbols: Iterable[Symbol]) -> Word:
-    """Longest subsequence of ``word`` using only the given symbols.
-
-    ``symbols`` may include symbols that never occur; they simply select
-    nothing. The order of the kept positions is preserved.
-    """
-    keep = frozenset(symbols)
-    return Word(tuple(sym for sym in word.symbols if sym in keep))
-
-
-def alternates(word: Word, x: Symbol, y: Symbol) -> bool:
-    """True when ``x`` and ``y`` strictly alternate within ``word``.
-
-    Equivalent to: the projection onto {x, y} never repeats a symbol in two
-    adjacent positions. Projections of length 0 or 1 alternate trivially.
-    Implemented as a single scan over the word.
-    """
-    if x == y:
-        raise ValueError(f"alternation needs two distinct symbols, got {x!r} twice")
-    prev: Symbol | None = None
-    for sym in word.symbols:
-        if sym == x or sym == y:
-            if sym == prev:
-                return False
-            prev = sym
-    return True
-
-
 def power(word: Word, k: int) -> Word:
     """Concatenate ``k`` copies of ``word``; ``k`` must be at least 1."""
     if k < 1:
         raise ValueError(f"word power needs k >= 1, got {k}")
     return Word(word.symbols * k)
 
-
-def occurrence_indices(word: Word, x: Symbol) -> tuple[int, ...]:
-    """Strictly increasing 1-based positions where ``x`` occurs; empty if absent."""
-    return word.occurrences.get(x, ())

@@ -20,17 +20,15 @@ from wordgraph.explore import (
     schedule_explore,
     validate_schedule,
 )
-from wordgraph.families import (
-    layered_edge_oracle,
-    layered_word,
-    path_word,
-    predicted_path_timesteps,
-)
+from wordgraph.families import layered_word, path_word
 from wordgraph.formats import emit_schedule, emit_word, parse_schedule, parse_word_file
 from wordgraph.graphs import build_graph, diameter, is_connected, make_edge, min_degree
 from wordgraph.lemmas import run_all
 from wordgraph.temporal import build_temporal, start_points
-from wordgraph.words import Symbol, Word, power, project
+from wordgraph.words import Symbol, Word, power
+
+from test_families import layered_edge_oracle, predicted_path_timesteps
+from test_words import project
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 

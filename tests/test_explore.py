@@ -79,24 +79,28 @@ class TestScheduleExplore:
         assert result.schedule.length == 0
 
     def test_mode_resolution(self):
+        # B is the minimum degree on an always-connected graph, else the
+        # diameter; each word below tells the two choices apart.
         tg = build_temporal(Word.from_chars("xyzxyz"))
-        assert exploration_bound(tg) == exploration_bound(tg, "always-connected")
-        assert exploration_bound(tg) != exploration_bound(tg, "general")
+        assert tg.always_connected
+        n, delta, d = 3, min_degree(tg.base), diameter(tg.base)
+        assert (delta, d) == (2, 1)
+        assert exploration_bound(tg) == (2 * delta * n, 2 * (n - 1) * (delta + 1))
         tg = build_temporal(Word.from_chars("121323"))
-        assert exploration_bound(tg) == exploration_bound(tg, "general")
-        assert exploration_bound(tg) != exploration_bound(tg, "always-connected")
+        assert not tg.always_connected
+        n, delta, d = 3, min_degree(tg.base), diameter(tg.base)
+        assert (delta, d) == (1, 2)
+        assert exploration_bound(tg) == (2 * d * n, 2 * (n - 1) * (d + 1))
 
     def test_disconnected_underlying_is_not_explorable(self):
         tg = build_temporal(Word.from_chars("aabb"))
         with pytest.raises(DisconnectedGraphError):
             schedule_explore(tg, Symbol("a"))
 
-    def test_unknown_start_and_mode(self):
+    def test_unknown_start(self):
         tg = build_temporal(Word.from_chars("121323"))
         with pytest.raises(ValueError):
             schedule_explore(tg, Symbol("9"))
-        with pytest.raises(ValueError):
-            exploration_bound(tg, mode="fast")
 
     @given(words(sigma=6))
     def test_completed_schedules_validate_and_meet_structural_bound(self, w):
@@ -119,7 +123,7 @@ class TestScheduleExplore:
             word = power(Word.from_chars(base), 30)
             tg = build_temporal(word)
             assert tg.always_connected
-            _, structural = exploration_bound(tg, "always-connected")
+            _, structural = exploration_bound(tg)
             assert tg.lifetime >= structural
             result = schedule_explore(tg, Symbol(start))
             assert result.visited_all
@@ -257,9 +261,11 @@ class TestOracle:
 class TestExplorationBound:
     def test_examples(self):
         fig = build_temporal(Word.from_chars("abacbdcedfegfhg"))
-        assert exploration_bound(fig, "general") == (112, 112)
+        assert not fig.always_connected
+        assert exploration_bound(fig) == (112, 112)
         triangle = build_temporal(Word.from_chars("xyzxyz"))
-        assert exploration_bound(triangle, "always-connected") == (12, 12)
+        assert triangle.always_connected
+        assert exploration_bound(triangle) == (12, 12)
         single = build_temporal(Word.from_chars("a"))
         assert exploration_bound(single) == (0, 0)
 
@@ -272,4 +278,5 @@ class TestExplorationBound:
         n = len(tg.base.vertices)
         d = diameter(tg.base)
         assert d == 3
-        assert exploration_bound(tg, "general") == (2 * d * n, 2 * (n - 1) * (d + 1))
+        assert not tg.always_connected
+        assert exploration_bound(tg) == (2 * d * n, 2 * (n - 1) * (d + 1))

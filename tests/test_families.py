@@ -1,18 +1,80 @@
+import json
+
 import pytest
 
-from wordgraph.families import (
-    LayeredFamilySpec,
-    OutOfFormulaRangeError,
-    PathFamilySpec,
-    layered_edge_oracle,
-    layered_word,
-    path_word,
-    predicted_path_timesteps,
-    predicted_symbol_at,
-)
-from wordgraph.graphs import build_graph, diameter, make_edge
+from wordgraph.cli import run_cli
+from wordgraph.families import layered_word, path_word
+from wordgraph.graphs import Edge, build_graph, diameter, make_edge
 from wordgraph.temporal import start_points
-from wordgraph.words import Symbol, occurrence_indices, power
+from wordgraph.words import Symbol, power
+
+# Closed forms for the family words, written independently of the
+# generators; the tests below hold them against the generated words.
+
+
+class OutOfFormulaRangeError(ValueError):
+    """Raised when a position falls outside a closed form's domain."""
+
+
+def predicted_symbol_at(n: int, k: int, pos: int) -> Symbol:
+    """Closed form for the symbol of path_word(n)^k at a 1-based position.
+
+    Writing pos = c*2n + l with l in [4, 2n-1], the symbol is l/2 + 1 for
+    even l and (l-1)/2 for odd l. Positions whose residue l falls outside
+    [4, 2n-1] (the seam positions 1..3 and 2n of each copy) are out of range.
+    """
+    if n < 3:
+        raise ValueError(f"path word needs n >= 3, got {n}")
+    if k < 1:
+        raise ValueError(f"power must be >= 1, got {k}")
+    if not 1 <= pos <= 2 * n * k:
+        raise ValueError(f"position {pos} outside [1, {2 * n * k}]")
+    residue = (pos - 1) % (2 * n) + 1
+    if not 4 <= residue <= 2 * n - 1:
+        raise OutOfFormulaRangeError(
+            f"position {pos} has in-copy offset {residue}, outside [4, {2 * n - 1}]"
+        )
+    value = residue // 2 + 1 if residue % 2 == 0 else (residue - 1) // 2
+    return Symbol(str(value))
+
+
+def predicted_path_timesteps(n: int, k: int) -> tuple[int, tuple[int, ...]]:
+    """Closed form for (lifetime, start points) of path_word(n)^k.
+
+    One copy yields t1 = floor((n+3)/2) factors; for even n this equals
+    floor((2n+5)/4) and every interior start follows 4i - 5. The last start
+    of a copy is 2n - 1 for even n but 2n for odd n, and the pattern repeats
+    with period 2n, giving lifetime k*(t1 - 1) + 1. Verified against the
+    greedy scan for every supported (n, k).
+    """
+    if n < 4:
+        raise ValueError(f"start-point closed form needs n >= 4, got {n}")
+    if k < 1:
+        raise ValueError(f"power must be >= 1, got {k}")
+    t1 = (n + 3) // 2
+    tail = [4 * i - 5 for i in range(2, t1 + 1)]
+    if n % 2:
+        tail[-1] -= 1
+    starts = [1]
+    for copy in range(k):
+        offset = 2 * copy * n
+        starts.extend(offset + s for s in tail)
+    lifetime = k * (t1 - 1) + 1
+    return lifetime, tuple(starts)
+
+
+def layered_edge_oracle(n: int, d: int) -> frozenset[Edge]:
+    """Expected edge set of the layered family: complete bipartite between
+    consecutive layers, nothing else."""
+    per_layer = n // d
+    edges: set[Edge] = set()
+    for layer in range(1, d):
+        for i in range(1, per_layer + 1):
+            for j in range(1, per_layer + 1):
+                edges.add(
+                    make_edge(Symbol(f"({i},{layer})"), Symbol(f"({j},{layer + 1})"))
+                )
+    return frozenset(edges)
 
 
 def path_edges(n):
@@ -49,7 +111,7 @@ class TestPathWord:
         # boundary symbols have gap 2
         word = path_word(n)
         for x in range(1, n + 1):
-            first, second = occurrence_indices(word, Symbol(str(x)))
+            first, second = word.occurrences[Symbol(str(x))]
             expected_gap = 2 if x in (1, n) else 3
             assert second - first == expected_gap
 
@@ -82,7 +144,7 @@ class TestPredictedSymbolAt:
         for pos in range(1, 2 * n * k + 1):
             residue = (pos - 1) % (2 * n) + 1
             if 4 <= residue <= 2 * n - 1:
-                assert predicted_symbol_at(n, k, pos) == word.at(pos)
+                assert predicted_symbol_at(n, k, pos) == word.symbols[pos - 1]
 
 
 class TestPredictedPathTimesteps:
@@ -160,16 +222,32 @@ class TestLayeredWord:
 
 
 class TestFamilySpecs:
-    def test_path_spec_builds_power(self):
-        assert PathFamilySpec(4, 2).build() == power(path_word(4), 2)
-        with pytest.raises(ValueError):
-            PathFamilySpec(2)
-        with pytest.raises(ValueError):
-            PathFamilySpec(4, 0)
+    """Bad family parameters are rejected by the generators and by ``power``,
+    and ``gen`` reports them as invalid arguments."""
 
-    def test_layered_spec_builds_power(self):
-        assert LayeredFamilySpec(6, 3, 2).build() == power(layered_word(6, 3), 2)
+    @staticmethod
+    def gen_fails(capsys, *argv):
+        assert run_cli(["gen", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "invalid-arguments"
+
+    def test_path_spec_builds_power(self, capsys):
+        assert run_cli(["gen", "path", "--n", "4", "--k", "2"]) == 0
+        assert capsys.readouterr().out == f"{power(path_word(4), 2)}\n"
         with pytest.raises(ValueError):
-            LayeredFamilySpec(8, 3)
+            path_word(2)
         with pytest.raises(ValueError):
-            LayeredFamilySpec(6, 3, 0)
+            power(path_word(4), 0)
+        self.gen_fails(capsys, "path", "--n", "2")
+        self.gen_fails(capsys, "path", "--n", "4", "--k", "0")
+
+    def test_layered_spec_builds_power(self, capsys):
+        assert run_cli(["gen", "layered", "--n", "6", "--d", "3", "--k", "2"]) == 0
+        assert capsys.readouterr().out == f"{power(layered_word(6, 3), 2)}\n"
+        with pytest.raises(ValueError):
+            layered_word(8, 3)
+        with pytest.raises(ValueError):
+            power(layered_word(6, 3), 0)
+        self.gen_fails(capsys, "layered", "--n", "8", "--d", "3")
+        self.gen_fails(capsys, "layered", "--n", "6", "--d", "3", "--k", "0")

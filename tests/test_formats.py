@@ -38,7 +38,7 @@ class TestWordDocuments:
 
     def test_parse_multiline(self):
         word = parse_word_file("(1,1) (2,1)\n(1,2) (2,2)\n")
-        assert word.tokens() == ["(1,1)", "(2,1)", "(1,2)", "(2,2)"]
+        assert word.symbols == ("(1,1)", "(2,1)", "(1,2)", "(2,2)")
 
     @pytest.mark.parametrize("text", ["", "   \n", "# only a comment\n"])
     def test_parse_empty_is_an_error(self, text):

@@ -7,13 +7,12 @@ from wordgraph.graphs import (
     StaticGraph,
     build_graph,
     diameter,
-    distance,
     is_connected,
     make_edge,
     min_degree,
     spanning_walk,
 )
-from wordgraph.words import Symbol, Word, occurrence_indices, power
+from wordgraph.words import Symbol, Word, power
 
 
 def syms(*tokens):
@@ -82,7 +81,7 @@ class TestBuildGraph:
     def test_powers_preserve_balanced_alternating_pairs(self, w, k):
         g, gk = build_graph(w), build_graph(power(w, k))
         for x, y in g.edges:
-            if len(occurrence_indices(w, x)) == len(occurrence_indices(w, y)):
+            if len(w.occurrences[x]) == len(w.occurrences[y]):
                 assert (x, y) in gk.edges
 
     def test_unbalanced_pair_loses_its_edge_under_powers(self):
@@ -95,20 +94,15 @@ class TestBuildGraph:
 class TestMetrics:
     def test_distance_on_path(self):
         g = build_graph(Word.from_chars("abacbdcedfegfhg"))
-        assert distance(g, Symbol("a"), Symbol("h")) == 7
-        assert distance(g, Symbol("c"), Symbol("c")) == 0
+        assert g.distances[Symbol("a")][Symbol("h")] == 7
+        assert g.distances[Symbol("c")][Symbol("c")] == 0
 
     def test_distance_unreachable_is_none(self):
         g = StaticGraph.from_edges(
             syms("a", "b", "c", "d"),
             [(Symbol("a"), Symbol("b")), (Symbol("c"), Symbol("d"))],
         )
-        assert distance(g, Symbol("a"), Symbol("c")) is None
-
-    def test_distance_unknown_vertex(self):
-        g = build_graph(Word.from_chars("ab"))
-        with pytest.raises(ValueError):
-            distance(g, Symbol("a"), Symbol("z"))
+        assert Symbol("c") not in g.distances[Symbol("a")]
 
     def test_diameter_examples(self):
         assert diameter(build_graph(Word.from_chars("abacbdcedfegfhg"))) == 7
@@ -129,7 +123,7 @@ class TestMetrics:
     def test_distance_symmetry_and_triangle_inequality(self, w):
         g = build_graph(w)
         vs = g.vertices
-        dist = {(u, v): distance(g, u, v) for u in vs for v in vs}
+        dist = {(u, v): g.distances[u].get(v) for u in vs for v in vs}
         for u in vs:
             for v in vs:
                 assert dist[(u, v)] == dist[(v, u)]

@@ -1,15 +1,41 @@
+from typing import Iterable
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wordgraph.words import (
-    Symbol,
-    Word,
-    alternates,
-    occurrence_indices,
-    power,
-    project,
-)
+from wordgraph.words import Symbol, Word, power
+
+# Subsequence projection and alternation by their definitions, as references
+# for the tests here and for the alternation test of build_graph.
+
+
+def project(word: Word, symbols: Iterable[Symbol]) -> Word:
+    """Longest subsequence of ``word`` using only the given symbols.
+
+    ``symbols`` may include symbols that never occur; they simply select
+    nothing. The order of the kept positions is preserved.
+    """
+    keep = frozenset(symbols)
+    return Word(tuple(sym for sym in word.symbols if sym in keep))
+
+
+def alternates(word: Word, x: Symbol, y: Symbol) -> bool:
+    """True when ``x`` and ``y`` strictly alternate within ``word``.
+
+    Equivalent to: the projection onto {x, y} never repeats a symbol in two
+    adjacent positions. Projections of length 0 or 1 alternate trivially.
+    Implemented as a single scan over the word.
+    """
+    if x == y:
+        raise ValueError(f"alternation needs two distinct symbols, got {x!r} twice")
+    prev: Symbol | None = None
+    for sym in word.symbols:
+        if sym == x or sym == y:
+            if sym == prev:
+                return False
+            prev = sym
+    return True
 
 
 def syms(*tokens):
@@ -57,27 +83,33 @@ class TestSymbol:
 class TestWord:
     def test_one_based_access(self):
         w = Word.from_chars("acb")
-        assert w.at(1) == Symbol("a")
-        assert w.at(3) == Symbol("b")
+        assert w.occurrences[Symbol("a")] == (1,)
+        assert w.occurrences[Symbol("b")] == (3,)
+        assert w.symbols[0] == Symbol("a")
+        assert w.symbols[2] == Symbol("b")
         with pytest.raises(IndexError):
-            w.at(0)
-        with pytest.raises(IndexError):
-            w.at(4)
+            w.symbols[3]
 
     def test_alphabet_is_occurring_symbols(self):
         assert Word.from_chars("aab").alphabet == frozenset(syms("a", "b"))
         assert Word().alphabet == frozenset()
 
+    def test_rejects_non_symbol_values(self):
+        with pytest.raises(TypeError, match="got str"):
+            Word((Symbol("a"), "b", 7))
+        with pytest.raises(TypeError, match="got int"):
+            Word([Symbol("a"), 7, "b"])
+
     def test_from_tokens_keeps_order(self):
         w = Word.from_tokens(["(1,1)", "(2,1)", "(1,1)"])
-        assert w.tokens() == ["(1,1)", "(2,1)", "(1,1)"]
+        assert w.symbols == ("(1,1)", "(2,1)", "(1,1)")
 
     def test_from_tokens_shares_one_symbol_per_token(self):
         w = Word.from_tokens("a b a".split())
-        assert w.at(1) is w.at(3)
-        assert w.at(1) is not w.at(2)
+        assert w.symbols[0] is w.symbols[2]
+        assert w.symbols[0] is not w.symbols[1]
         chars = Word.from_chars("abab")
-        assert chars.at(2) is chars.at(4)
+        assert chars.symbols[1] is chars.symbols[3]
 
 
 class TestProject:
@@ -108,7 +140,7 @@ class TestProject:
     @given(words(), st.sets(st.sampled_from(syms(*"abcdefgh")), max_size=4))
     def test_length_is_sum_of_occurrence_counts(self, w, keep):
         projected = project(w, keep)
-        assert len(projected) == sum(len(occurrence_indices(w, x)) for x in keep)
+        assert len(projected) == sum(len(w.occurrences.get(x, ())) for x in keep)
 
 
 class TestAlternates:
@@ -138,7 +170,7 @@ class TestAlternates:
     @given(words(min_size=4, sigma=3), st.integers(min_value=1, max_value=4))
     def test_false_is_preserved_under_powers(self, w, k):
         x, y = Symbol("a"), Symbol("b")
-        both_twice = all(len(occurrence_indices(w, s)) >= 2 for s in (x, y))
+        both_twice = all(len(w.occurrences.get(s, ())) >= 2 for s in (x, y))
         if not both_twice or alternates(w, x, y):
             return
         assert alternates(power(w, k), x, y) is False
@@ -166,18 +198,18 @@ class TestPower:
         repeated = power(w, k)
         assert len(repeated) == k * len(w)
         for i in range(1, len(repeated) + 1):
-            assert repeated.at(i) == w.at((i - 1) % len(w) + 1)
+            assert repeated.symbols[i - 1] == w.symbols[(i - 1) % len(w)]
 
 
 class TestOccurrenceIndices:
     def test_examples(self):
-        assert occurrence_indices(Word.from_chars("abacbdcedfegfhg"), Symbol("c")) == (4, 7)
-        assert occurrence_indices(Word.from_chars("acbacbab"), Symbol("a")) == (1, 4, 7)
-        assert occurrence_indices(Word.from_chars("ab"), Symbol("c")) == ()
+        assert Word.from_chars("abacbdcedfegfhg").occurrences[Symbol("c")] == (4, 7)
+        assert Word.from_chars("acbacbab").occurrences[Symbol("a")] == (1, 4, 7)
+        assert Symbol("c") not in Word.from_chars("ab").occurrences
 
     @given(words())
     def test_positions_strictly_increase_and_point_at_symbol(self, w):
         for sym in w.alphabet:
-            positions = occurrence_indices(w, sym)
+            positions = w.occurrences[sym]
             assert list(positions) == sorted(set(positions))
-            assert all(w.at(p) == sym for p in positions)
+            assert all(w.symbols[p - 1] == sym for p in positions)
