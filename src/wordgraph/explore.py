@@ -82,8 +82,11 @@ class ScheduleViolation:
 
 @dataclass(frozen=True)
 class OracleResult:
-    length: int | None
     schedule: Schedule | None
+
+    @property
+    def length(self) -> int | None:
+        return None if self.schedule is None else self.schedule.length
 
     @property
     def feasible(self) -> bool:
@@ -215,14 +218,14 @@ def oracle_explore(
             f"oracle refused: {n} vertices exceeds the limit of {vertex_limit}"
         )
     if n == 1:
-        return OracleResult(0, Schedule(start))
+        return OracleResult(Schedule(start))
     try:
         scheduled = schedule_explore(tg, start)
     except DisconnectedGraphError:
-        return OracleResult(None, None)
+        return OracleResult(None)
     upper = scheduled.schedule.length if scheduled.visited_all else tg.lifetime
     if scheduled.visited_all and upper == n - 1:
-        return OracleResult(upper, scheduled.schedule)
+        return OracleResult(scheduled.schedule)
 
     index = {v: i for i, v in enumerate(vertices)}
     s0 = index[start]
@@ -237,7 +240,7 @@ def oracle_explore(
         quotient = _TwinQuotient(tg, first)
         solved = quotient.latest_times(s0, upper)
         if solved is None:
-            return OracleResult(None, None)
+            return OracleResult(None)
         upper, latest = solved
         cls = quotient.cls
         weight = [quotient.strides[c] for c in cls]
@@ -253,9 +256,9 @@ def oracle_explore(
     # the sentinel upper + 1, later than every L.
     cap = upper + 1
     rows: list[list[tuple[int, int, tuple[int, ...], int, int]]] = [[] for _ in vertices]
-    for (a, b), ts in tg._activation_times.items():
+    for a, b in tg.base.edges:
         i, j = index[a], index[b]
-        ts += (cap,)
+        ts = tg.activation_times(a, b) + (cap,)
         rows[i].append((j, 1 << j, ts, cls[j], weight[j]))
         rows[j].append((i, 1 << i, ts, cls[i], weight[i]))
     for row in rows:
@@ -320,7 +323,7 @@ def oracle_explore(
                 parent[state] = key
                 push(heap, (((f << tb | upper - t_next) << kb | state) << cb) | next_code)
     else:
-        return OracleResult(None, None)
+        return OracleResult(None)
 
     steps: list[Step] = []
     while key != start_key:
@@ -329,7 +332,7 @@ def oracle_explore(
         key = prev
     steps.reverse()
     schedule = Schedule(start, tuple(steps))
-    return OracleResult(schedule.length, schedule)
+    return OracleResult(schedule)
 
 
 def _twin_classes(tg: TemporalGraph) -> list[int]:
@@ -377,7 +380,6 @@ class _TwinQuotient:
     def __init__(self, tg: TemporalGraph, first: list[int]):
         vertices = tg.base.vertices
         adjacency = tg.base.adjacency
-        times = tg._activation_times
         members: dict[int, list[int]] = {}
         for i, f in enumerate(first):
             members.setdefault(f, []).append(i)
@@ -408,7 +410,7 @@ class _TwinQuotient:
                     other = reps[d]
                 else:
                     continue
-                ts = times[make_edge(rep, other)]
+                ts = tg.activation_times(rep, other)
                 row.append((d, self.strides[d], len(ids) + 1, c == d, ts))
             self.links.append(row)
 

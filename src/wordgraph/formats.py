@@ -77,10 +77,9 @@ def _temporal_json(tg: TemporalGraph) -> str:
     # times; walking the edges in order leaves every timestep's list in edge
     # order.
     active: list[list[str]] = [[] for _ in range(tg.lifetime)]
-    times = tg._activation_times
     for edge in sorted(tg.base.edges):
         block = _json_edge(edge, 8)
-        for t in times[edge]:
+        for t in tg.activation_times(*edge):
             active[t - 1].append(block)
     quoted = {v: encode_basestring_ascii(v) for v in tg.base.vertices}
     symbols = tg.word.symbols

@@ -121,12 +121,17 @@ def check_edge_recurrence(tg: TemporalGraph) -> LemmaReport:
     if not tg.base.edges:
         return _checked(EDGE_RECURRENCE, [], "no edges to check")
     delta = min(len(tg.base.adjacency[v]) for v in tg.base.vertices)
-    times = tg._activation_times
+    wide = {v for v, ts in tg.letter_times.items() if _largest_gap(ts, lifetime) > delta + 1}
     violations: list[tuple] = []
     for u, v in sorted(tg.base.edges):
+        # Its times contain each endpoint's letter times: an endpoint gap of
+        # at most delta + 1 fits both window kinds, since delta <= local.
+        if u not in wide or v not in wide:
+            continue
+        times = tg.activation_times(u, v)
         local = min(len(tg.base.adjacency[u]), len(tg.base.adjacency[v]))
         for kind, gap in (("delta-window", delta), ("min-degree-window", local)):
-            for t in _uncovered_windows(times[u, v], gap + 1, lifetime):
+            for t in _uncovered_windows(times, gap + 1, lifetime):
                 violations.append((kind, u.token, v.token, t))
     # delta <= local for every edge, so some window fits exactly when a
     # delta-window does.
@@ -220,14 +225,13 @@ def check_union_windows(tg: TemporalGraph) -> LemmaReport:
     graph = tg.base
     lifetime = tg.lifetime
     dia = diameter(graph)
-    times = tg._activation_times
     edges = sorted(graph.edges)
     violations: list[tuple] = []
     skipped: list[str] = []
 
     if dia <= lifetime:
         for u, v in edges:
-            if times[u, v][0] > dia:
+            if tg.letter_times[u][0] > dia and tg.letter_times[v][0] > dia:
                 violations.append(("first-window", u.token, v.token))
     else:
         skipped.append("first-window")
@@ -235,8 +239,11 @@ def check_union_windows(tg: TemporalGraph) -> LemmaReport:
     # (b) fires on an edge only through a gap of at least dia + 2 after an
     # activation, or a last activation at t <= T-dia-1, whose gap to T+1 is
     # then at least dia + 2; (c) needs such a gap too. Every other edge
-    # passes both.
-    gapped = [e for e in edges if _largest_gap(times[e], lifetime) > dia + 1]
+    # passes both, and so does an edge with an endpoint whose letter times
+    # have no such gap, since its times contain that endpoint's.
+    wide = {v for v, ts in tg.letter_times.items() if _largest_gap(ts, lifetime) > dia + 1}
+    times = {(u, v): tg.activation_times(u, v) for u, v in edges if u in wide and v in wide}
+    gapped = [e for e, ts in times.items() if _largest_gap(ts, lifetime) > dia + 1]
 
     if lifetime - dia - 1 >= 1:
         late = [

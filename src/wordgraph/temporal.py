@@ -71,16 +71,13 @@ class TemporalGraph:
 
     @cached_property
     def letter_times(self) -> dict[Symbol, tuple[int, ...]]:
-        """Strictly increasing timesteps whose factor holds each vertex."""
-        # step[p] is the timestep holding 1-based position p.
-        step = [0]
+        """Timesteps whose factor holds each vertex; strictly increasing
+        unless non-greedy start points repeat a letter inside a factor."""
+        times: dict[Symbol, list[int]] = {v: [] for v in self.base.vertices}
         for t, (lo, hi) in enumerate(self.factor_bounds, start=1):
-            step += [t] * (hi - lo + 1)
-        occurrences = self.word.occurrences
-        return {
-            v: tuple(dict.fromkeys(map(step.__getitem__, occurrences[v])))
-            for v in self.base.vertices
-        }
+            for v in self.word.symbols[lo - 1 : hi]:
+                times[v].append(t)
+        return {v: tuple(ts) for v, ts in times.items()}
 
     def edges_at(self, t: int) -> frozenset[Edge]:
         """The edge set of timestep ``t``: every edge incident to a letter of
@@ -92,10 +89,10 @@ class TemporalGraph:
             make_edge(sym, nb) for sym in self.word.symbols[lo - 1 : hi] for nb in adjacency[sym]
         )
 
-    @cached_property
-    def _activation_times(self) -> dict[Edge, tuple[int, ...]]:
-        times = self.letter_times
-        return {(u, v): tuple(sorted({*times[u], *times[v]})) for u, v in self.base.edges}
+    def activation_times(self, u: Symbol, v: Symbol) -> tuple[int, ...]:
+        """Increasing timesteps at which the edge (u, v) is active: the union
+        of its endpoints' letter times."""
+        return tuple(sorted({*self.letter_times[u], *self.letter_times[v]}))
 
     @cached_property
     def always_connected(self) -> bool:
@@ -143,8 +140,11 @@ def next_activation(tg: TemporalGraph, e: tuple[Symbol, Symbol], t: int) -> int 
     if t < 0:
         raise ValueError(f"timestep cursor must be >= 0, got {t}")
     edge = make_edge(*e)
-    times = tg._activation_times.get(edge)
-    if times is None:
+    if edge not in tg.base.edges:
         raise ValueError(f"not an underlying edge: ({e[0]!r}, {e[1]!r})")
-    idx = bisect_right(times, t)
-    return times[idx] if idx < len(times) else None
+    u_times, v_times = tg.letter_times[edge[0]], tg.letter_times[edge[1]]
+    i = bisect_right(u_times, t)
+    j = bisect_right(v_times, t)
+    if j == len(v_times) or i < len(u_times) and u_times[i] < v_times[j]:
+        return u_times[i] if i < len(u_times) else None
+    return v_times[j]

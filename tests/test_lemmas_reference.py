@@ -19,13 +19,14 @@ graph that is not the word's own, and a connected spanning subgraph of the
 word's own graph. The first two between them produce every witness kind, and
 each kind is compared. In the third every edge alternates, so the edge
 certificates pass, while distances and the diameter grow past those of the
-word's own graph.
+word's own graph. The word sets do not reach the union fallback of
+``edge-recurrence`` and ``union-windows``, so the foreign-base probes must.
 """
 
 import itertools
 import json
 import random
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 
@@ -384,12 +385,48 @@ def test_non_greedy_start_points_probe():
     assert kinds >= {"first-window", "reactivation", "window-union"}
 
 
+def union_fallbacks(tg):
+    """Edges that edge-recurrence and union-windows, where they apply, leave
+    to the edge's own union: both endpoints' letter times have a gap longer
+    than the window. Counted per lemma as "undecided", and as "passed" when
+    the union then has no such gap."""
+    lifetime = tg.lifetime
+    times = tg.letter_times
+
+    def largest_gap(ts):
+        bounds = (0, *ts, lifetime + 1)
+        return max(b - a for a, b in zip(bounds, bounds[1:]))
+
+    graph = tg.base
+    windows = {}
+    if ReferenceActivity(tg).always_connected() and graph.edges:
+        windows[EDGE_RECURRENCE] = min(len(graph.adjacency[v]) for v in graph.vertices) + 1
+    if is_connected(graph):
+        dia = max(max(_bfs_distances(graph, v).values()) for v in graph.vertices)
+        windows[UNION_WINDOWS] = dia + 1
+    counts = Counter()
+    for lemma, size in windows.items():
+        for u, v in graph.edges:
+            if min(largest_gap(times[u]), largest_gap(times[v])) > size:
+                counts[lemma, "undecided"] += 1
+                counts[lemma, "passed"] += largest_gap(sorted({*times[u], *times[v]})) <= size
+    return counts
+
+
 def test_foreign_base_probe():
     rng = random.Random(6)
     kinds = set()
+    fallbacks = Counter()
     for tg in foreign_base_probes(rng, 1500):
         kinds |= assert_matches_reference(tg)
+        fallbacks += union_fallbacks(tg)
     assert kinds == WITNESS_KINDS
+    # These probes are the union fallback's test: each lemma must meet
+    # edges left undecided, some of which then pass.
+    assert fallbacks[EDGE_RECURRENCE, "undecided"] > 40
+    assert fallbacks[EDGE_RECURRENCE, "passed"] > 15
+    assert fallbacks[UNION_WINDOWS, "undecided"] > 300
+    assert fallbacks[UNION_WINDOWS, "passed"] > 100
 
 
 def test_spanning_subgraph_probe():

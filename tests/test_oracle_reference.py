@@ -39,7 +39,7 @@ from wordgraph.explore import (
     validate_schedule,
 )
 from wordgraph.families import layered_word, path_word
-from wordgraph.graphs import DisconnectedGraphError, make_edge
+from wordgraph.graphs import DisconnectedGraphError
 from wordgraph.temporal import TemporalGraph, build_temporal, next_activation
 from wordgraph.words import Symbol, Word, power
 
@@ -197,22 +197,23 @@ def unpruned_oracle(
             f"oracle refused: {n} vertices exceeds the limit of {vertex_limit}"
         )
     if n == 1:
-        return OracleResult(0, Schedule(start))
+        return OracleResult(Schedule(start))
     try:
         scheduled = schedule_explore(tg, start)
     except DisconnectedGraphError:
-        return OracleResult(None, None)
+        return OracleResult(None)
     upper = scheduled.schedule.length if scheduled.visited_all else tg.lifetime
     if scheduled.visited_all and upper == n - 1:
-        return OracleResult(upper, scheduled.schedule)
+        return OracleResult(scheduled.schedule)
 
     # Vertex ids follow token order, so each row lists (neighbour id, its
-    # bit, activation times) in token order.
+    # bit, activation times) in token order. An edge is active whenever
+    # either endpoint is a letter.
     index = {v: i for i, v in enumerate(vertices)}
-    times = tg._activation_times
+    times = tg.letter_times
     rows = [
         [
-            (index[u], 1 << index[u], times[make_edge(v, u)])
+            (index[u], 1 << index[u], tuple(sorted({*times[v], *times[u]})))
             for u in sorted(graph.adjacency[v])
         ]
         for v in vertices
@@ -258,7 +259,7 @@ def unpruned_oracle(
                 parent[state] = key
                 heapq.heappush(heap, (f, -t_next, state))
     else:
-        return OracleResult(None, None)
+        return OracleResult(None)
 
     steps: list[Step] = []
     while key != start_key:
@@ -267,7 +268,7 @@ def unpruned_oracle(
         key = prev
     steps.reverse()
     schedule = Schedule(start, tuple(steps))
-    return OracleResult(schedule.length, schedule)
+    return OracleResult(schedule)
 
 
 def assert_same_witness(tg, start):

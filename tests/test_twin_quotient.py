@@ -29,7 +29,7 @@ from wordgraph.explore import (
     oracle_explore,
 )
 from wordgraph.families import layered_word
-from wordgraph.graphs import is_connected, make_edge
+from wordgraph.graphs import is_connected
 from wordgraph.temporal import build_temporal
 from wordgraph.words import Symbol, Word, power
 
@@ -120,8 +120,10 @@ def brute_latest(tg, start, target):
     n = len(vertices)
     ids = {v: i for i, v in enumerate(vertices)}
     full = (1 << n) - 1
+    # An edge is active whenever either endpoint is a letter.
+    times = tg.letter_times
     moves = [
-        [(ids[u], tg._activation_times[make_edge(v, u)]) for u in tg.base.adjacency[v]]
+        [(ids[u], tuple(sorted({*times[v], *times[u]}))) for u in tg.base.adjacency[v]]
         for v in vertices
     ]
 
