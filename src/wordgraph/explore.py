@@ -7,11 +7,12 @@ Two entry points answer the same question at different costs:
   length is structurally bounded by 2(n-1)(B+1), where B is the minimum
   degree when every timestep is connected and the diameter otherwise,
   provided the lifetime is long enough.
-* ``oracle_explore`` finds the exact optimum by shortest-path search over
-  (visited set, current vertex) states; exponential in n, so it is guarded by
-  a vertex limit. Where temporal twins shrink the state space enough, a
-  search over twin classes first bounds each state's latest useful time,
-  which prunes the search without changing its witness.
+* ``oracle_explore`` finds the exact optimum by one A* search over twin-class
+  states: how many members of each class of temporal twins are visited, and
+  the class of the current vertex. Twins are interchangeable, so the class
+  path maps back to a walk on vertices. On a twin-free word these are the
+  (visited set, current vertex) states; the search is exponential in n, so
+  it is guarded by a vertex limit.
 
 The agent occupies its start vertex at time 0 and may move first at timestep
 1; it traverses at most one edge per timestep, and waiting consumes
@@ -37,7 +38,8 @@ from .words import Symbol
 
 Step = tuple[tuple[Symbol, Symbol], int]
 
-# Largest vertex_limit oracle_explore accepts; its search holds up to 2^n * n states.
+# Largest vertex_limit oracle_explore accepts; on a twin-free word its search
+# holds up to 2^n * n states.
 ORACLE_MAX_VERTICES = 16
 
 
@@ -180,29 +182,33 @@ def oracle_explore(
 ) -> OracleResult:
     """Exact minimum exploration length from ``start``, with a witness.
 
-    A* over (visited set, current vertex) states with arrival time as cost;
-    transitions take the next activation of each incident edge. Each move
-    costs at least one timestep and visits at most one new vertex, so the
-    unvisited count is a consistent lower bound on the time still needed.
-    A completed ``schedule_explore`` run is an upper bound, returned as is
-    when it meets the lower bound ``n - 1``. A popped state is skipped when
-    its vertex was reached no later with one more vertex visited, which
-    loses no optimum.
+    A* over class states with arrival time as cost. Temporal twins
+    (``_twin_classes``) are interchangeable, so a class state records only
+    how many members of each twin class are visited and the class of the
+    current vertex; two walks with the same class state are swapped by an
+    automorphism and can finish by the same times. On a twin-free word
+    every class is one vertex, and a class state is a (visited set, current
+    vertex) state.
 
-    Temporal twins (``_twin_classes``) prune the search when their quotient
-    has at most 1/8 of its n * 2^n states: ``_TwinQuotient`` finds the
-    optimum C* and, for each class state, the latest time L from which it
-    can still finish by C*, and the search skips every push later than L
-    of its class state. A skipped state has no completion by C*, and
-    neither has any state reached from it. So every completable state keeps
-    its best time, parent and heap position, and the first goal popped and
-    its witness are those of the unpruned search. Below the 1/8 gate the
-    quotient prunes too little to pay for itself: a single class of two
-    leaves 3/4 of the states.
+    A move from class c to a joined class d takes the next activation of
+    their link, and visits either a new member of d or a visited one other
+    than the current vertex. Each move costs at least one timestep and
+    visits at most one new vertex, so the unvisited count is a consistent
+    lower bound on the time still needed, and the first complete state
+    popped is optimal. A completed ``schedule_explore`` run is an upper
+    bound, returned as is when it meets the lower bound ``n - 1``. A popped
+    state is skipped when the state with one more member of some class
+    visited, in the same current class, was reached no later, which loses
+    no optimum.
+
+    The witness maps the class path to vertices: a new visit to class d
+    takes d's lowest-id unvisited member, a revisit d's lowest-id visited
+    member other than the current vertex, each at the link's activation
+    time. Vertex ids follow token order.
 
     Disconnected graphs are infeasible. Refuses more than ``vertex_limit``
-    vertices, and limits above ``ORACLE_MAX_VERTICES``, since the state
-    space is 2^n * n.
+    vertices, and limits above ``ORACLE_MAX_VERTICES``, since a twin-free
+    word has n * 2^n states.
     """
     if vertex_limit > ORACLE_MAX_VERTICES:
         raise ValueError(
@@ -227,112 +233,124 @@ def oracle_explore(
     if scheduled.visited_all and upper == n - 1:
         return OracleResult(scheduled.schedule)
 
-    index = {v: i for i, v in enumerate(vertices)}
-    s0 = index[start]
-    # A pushed state's class state is code + class, where code sums weight
-    # over its visited vertices, and latest holds each class state's L.
-    first = _twin_classes(tg)
-    firsts = set(first)
-    space = len(firsts)
-    for i in firsts:
-        space *= first.count(i) + 1
-    if 8 * space <= n << n:
-        quotient = _TwinQuotient(tg, first)
-        solved = quotient.latest_times(s0, upper)
-        if solved is None:
-            return OracleResult(None)
-        upper, latest = solved
-        cls = quotient.cls
-        weight = [quotient.strides[c] for c in cls]
-    else:
-        # One class of all vertices: code is the visited count, and L is
-        # what the unvisited-count bound leaves of the upper bound.
-        cls = [0] * n
-        weight = [1] * n
-        latest = [upper - n + visited for visited in range(n + 1)]
-
-    # rows[i] lists (neighbour id, its bit, activation times, class, code
-    # weight) in neighbour order, which is token order. The times end in
-    # the sentinel upper + 1, later than every L.
-    cap = upper + 1
-    rows: list[list[tuple[int, int, tuple[int, ...], int, int]]] = [[] for _ in vertices]
-    for a, b in tg.base.edges:
-        i, j = index[a], index[b]
-        ts = tg.activation_times(a, b) + (cap,)
-        rows[i].append((j, 1 << j, ts, cls[j], weight[j]))
-        rows[j].append((i, 1 << i, ts, cls[i], weight[i]))
-    for row in rows:
-        row.sort()
-    # States are keyed by mask << vb | vertex id, which orders them as
-    # (mask, vertex). A heap entry packs (time + unvisited count, later time
-    # first, key) into one int, ordered as that tuple, above the code of the
-    # state's class state.
-    vb = (n - 1).bit_length()
-    vm = (1 << vb) - 1
-    kb = n + vb
+    members: dict[int, list[int]] = {}
+    for i, f in enumerate(_twin_classes(tg)):
+        members.setdefault(f, []).append(i)
+    groups = list(members.values())
+    cls = {vertices[i]: c for c, group in enumerate(groups) for i in group}
+    # A state is keyed by the current class in its low cb bits, and above
+    # them one bit field per class, in class order, holding its visited
+    # count plus a bias that makes a fully visited class read all ones. So
+    # the fields left to visit are the set bits of done ^ key >> cb, and a
+    # twin-free word's key is its visited mask above its vertex id.
+    cb = (len(groups) - 1).bit_length()
+    cm = (1 << cb) - 1
+    unit, field, bias = [], [], []
+    # owner[p] is (unit, the bits below the field) of the field holding
+    # bit p - 1 of the counts.
+    owner: list[tuple[int, int]] = [(0, 0)]
+    for group in groups:
+        width = len(group).bit_length()
+        offset = len(owner) - 1
+        unit.append(1 << cb + offset)
+        field.append(((1 << width) - 1) << cb + offset)
+        bias.append(((1 << width) - 1 - len(group)) << cb + offset)
+        owner += [(unit[-1], (1 << offset) - 1)] * width
+    kb = cb + len(owner) - 1
     km = (1 << kb) - 1
+    done = km >> cb
+    c0 = cls[start]
+    start_key = sum(bias) + unit[c0] | c0
+
+    # links[c] lists (class d, its unit and field, the count a revisit must
+    # exceed, activation times) for each class d joined to c; twins make
+    # every edge between two classes share its times, which end in the
+    # sentinel upper + 1. Each move of an expansion reaches its own state,
+    # so the order of a row does not affect the search.
+    cap = upper + 1
+    links: list[list[tuple[int, int, int, int, tuple[int, ...]]]] = []
+    for c, group in enumerate(groups):
+        a = vertices[group[0]]
+        row = {}
+        for b in graph.adjacency[a]:
+            d = cls[b]
+            if d not in row:
+                ts = tg.activation_times(a, b) + (cap,)
+                row[d] = (d, unit[d], field[d], bias[d] + (unit[d] if d == c else 0), ts)
+        links.append(list(row.values()))
+
+    # A heap entry packs (time + unvisited count, later time first, key)
+    # into one int, ordered as that tuple.
     tb = upper.bit_length()
     tm = (1 << tb) - 1
-    cb = len(latest).bit_length()
-    cm = (1 << cb) - 1
-    tshift = cb + kb
-    full = (1 << n) - 1
-    start_key = (1 << s0) << vb | s0
+    tshift = kb + tb
     best = {start_key: 0}
     parent: dict[int, int] = {}
-    heap = [(((n - 1) << tb | upper) << kb | start_key) << cb | weight[s0]]
+    heap = [((n - 1) << tb | upper) << kb | start_key]
     pop = heapq.heappop
     push = heapq.heappush
     while heap:
         entry = pop(heap)
-        key = entry >> cb & km
-        t = upper - (entry >> tshift & tm)
+        key = entry & km
+        t = upper - (entry >> kb & tm)
         if best[key] != t:
             continue
-        mask = key >> vb
-        if mask == full:
+        if key >> cb == done:
             break
-        # Skip a state dominated by one at the same vertex, reached no later
-        # with one more vertex visited: that state can wait here and copy any
-        # continuation of this one. Its f is smaller, so it, or a state that
-        # dominates it, was expanded first.
-        rest = full ^ mask
+        # Skip a state dominated by one in the same class, reached no later
+        # with one more member of some class visited: by symmetry that state
+        # can wait here and copy any continuation of this one. Its f is
+        # smaller, so it, or a state that dominates it, was expanded first.
+        rest = done ^ key >> cb
         while rest:
-            low = rest & -rest
-            if best.get(key + (low << vb), t + 1) <= t:
+            more, below = owner[rest.bit_length()]
+            if best.get(key + more, cap) <= t:
                 break
-            rest ^= low
+            rest &= below
         if rest:
             continue
-        code = entry & cm
-        unvisited = n - mask.bit_count()
-        for u, bit, ts, c, w in rows[key & vm]:
+        unvisited = (entry >> tshift) - t
+        base = key & ~cm
+        for d, more, bits, least, ts in links[key & cm]:
             t_next = ts[bisect_right(ts, t)]
-            if mask & bit:
-                f = t_next + unvisited
-                next_code = code
-            else:
+            count = key & bits
+            # A new visit, when d has an unvisited member.
+            if count != bits:
                 f = t_next + unvisited - 1
-                next_code = code + w
-            # L + unvisited <= upper, so this also drops f > upper.
-            if t_next > latest[next_code + c]:
-                continue
-            state = (mask | bit) << vb | u
-            if t_next < best.get(state, cap):
-                best[state] = t_next
-                parent[state] = key
-                push(heap, (((f << tb | upper - t_next) << kb | state) << cb) | next_code)
+                state = base + more | d
+                if f <= upper and t_next < best.get(state, cap):
+                    best[state] = t_next
+                    parent[state] = key
+                    push(heap, (f << tb | upper - t_next) << kb | state)
+            # A revisit, when d has a visited member other than the current
+            # vertex.
+            if count > least:
+                f = t_next + unvisited
+                state = base | d
+                if f <= upper and t_next < best.get(state, cap):
+                    best[state] = t_next
+                    parent[state] = key
+                    push(heap, (f << tb | upper - t_next) << kb | state)
     else:
         return OracleResult(None)
 
-    steps: list[Step] = []
+    path = []
     while key != start_key:
-        prev = parent[key]
-        steps.append(((vertices[prev & vm], vertices[key & vm]), best[key]))
-        key = prev
-    steps.reverse()
-    schedule = Schedule(start, tuple(steps))
-    return OracleResult(schedule)
+        path.append(key)
+        key = parent[key]
+    here = vertices.index(start)
+    visited = {here}
+    steps: list[Step] = []
+    for key in reversed(path):
+        group = groups[key & cm]
+        if key >> cb != parent[key] >> cb:
+            u = next(i for i in group if i not in visited)
+            visited.add(u)
+        else:
+            u = next(i for i in group if i in visited and i != here)
+        steps.append(((vertices[here], vertices[u]), best[key]))
+        here = u
+    return OracleResult(Schedule(start, tuple(steps)))
 
 
 def _twin_classes(tg: TemporalGraph) -> list[int]:
@@ -364,133 +382,6 @@ def _twin_classes(tg: TemporalGraph) -> list[int]:
         keys = list(zip(first, times))
         first = list(map(dict(zip(keys[::-1], ids)).__getitem__, keys))
     return first
-
-
-class _TwinQuotient:
-    """The exploration search over twin classes (counter abstraction).
-
-    A class state records how many members of each class are visited and
-    the class of the current vertex. Every (visited set, vertex) state maps
-    to one, and two states with the same class state are swapped by an
-    automorphism, so they can finish by the same times. A class state is
-    the sum of count * stride over the classes plus the current class, so
-    there are k * prod(size + 1) of them for k classes.
-    """
-
-    def __init__(self, tg: TemporalGraph, first: list[int]):
-        vertices = tg.base.vertices
-        adjacency = tg.base.adjacency
-        members: dict[int, list[int]] = {}
-        for i, f in enumerate(first):
-            members.setdefault(f, []).append(i)
-        k = len(members)
-        number = {f: c for c, f in enumerate(members)}
-        self.cls = [number[f] for f in first]
-        self.classes = [
-            (tuple(ids), len(ids) > 1 and vertices[ids[1]] in adjacency[vertices[ids[0]]])
-            for ids in members.values()
-        ]
-        self.strides = []
-        stride = k
-        for ids, _ in self.classes:
-            self.strides.append(stride)
-            stride *= len(ids) + 1
-        self.space = stride
-        # links[c] holds (class, its stride, its size + 1, whether c is that
-        # class, activation times) for every class joined to c by edges;
-        # twins make the times equal over all those edges.
-        reps = [vertices[ids[0]] for ids, _ in self.classes]
-        self.links = []
-        for c, rep in enumerate(reps):
-            row = []
-            for d, (ids, closed) in enumerate(self.classes):
-                if c == d and closed:
-                    other = vertices[ids[1]]
-                elif c != d and reps[d] in adjacency[rep]:
-                    other = reps[d]
-                else:
-                    continue
-                ts = tg.activation_times(rep, other)
-                row.append((d, self.strides[d], len(ids) + 1, c == d, ts))
-            self.links.append(row)
-
-    def moves(self, s: int) -> list[tuple[int, tuple[int, ...], bool]]:
-        """(next class state, activation times, new visit) for each move
-        from class state ``s``: to an unvisited member of a joined class, or
-        to a visited member other than the current vertex."""
-        c = s % len(self.links)
-        code = s - c
-        out = []
-        for d, stride, cap, here, ts in self.links[c]:
-            count = code // stride % cap
-            if count < cap - 1:
-                out.append((code + stride + d, ts, True))
-            if count > here:
-                out.append((code + d, ts, False))
-        return out
-
-    def latest_times(self, start: int, upper: int) -> tuple[int, list[int]] | None:
-        """The optimum C* from vertex id ``start``, and the latest time L of
-        every class state, or None when nothing visits every vertex by
-        ``upper``.
-
-        An A* over class states finds C*, then runs on until every state
-        with f <= C* is settled at its earliest time e. A backward pass then
-        takes those states in falling order of L: a goal has L = C*, and a
-        move over activation times ts into a state with L = l gives its
-        source ts[i - 1] - 1, one before the last activation <= l. A state
-        that cannot finish by C* from its e keeps L = -1, as does every
-        state outside the pass. Each L satisfies L + unvisited <= C*.
-        """
-        heappop, heappush = heapq.heappop, heapq.heappush
-        c0 = self.cls[start]
-        s0 = self.strides[c0] + c0
-        best = {s0: 0}
-        settled: dict[int, int] = {}
-        preds: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
-        goals = []
-        bound = upper
-        heap = [(len(self.cls) - 1, 0, s0)]
-        while heap:
-            f, t, s = heappop(heap)
-            if f > bound:
-                break
-            if best[s] != t:
-                continue
-            settled[s] = t
-            if f == t:
-                bound = t
-                goals.append(s)
-                continue
-            for s_next, ts, new in self.moves(s):
-                if t >= ts[-1]:
-                    continue
-                t_next = ts[bisect_right(ts, t)]
-                f_next = t_next + f - t - new
-                # Only a move whose successor is reached within the bound
-                # can give its source an L at or after its e.
-                if f_next > bound:
-                    continue
-                preds.setdefault(s_next, []).append((s, ts))
-                if t_next < best.get(s_next, bound + 1):
-                    best[s_next] = t_next
-                    heappush(heap, (f_next, t_next, s_next))
-        if not goals:
-            return None
-        latest = [-1] * self.space
-        for s in goals:
-            latest[s] = bound
-        heap = [(-bound, s) for s in sorted(goals)]
-        while heap:
-            neg_l, s = heappop(heap)
-            if latest[s] != -neg_l:
-                continue
-            for p, ts in preds.get(s, ()):
-                i = bisect_right(ts, -neg_l)
-                if i and latest[p] < ts[i - 1] - 1 >= settled[p]:
-                    latest[p] = ts[i - 1] - 1
-                    heappush(heap, (1 - ts[i - 1], p))
-        return bound, latest
 
 
 def exploration_bound(tg: TemporalGraph) -> tuple[int, int]:

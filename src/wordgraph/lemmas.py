@@ -38,10 +38,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf
-from operator import le, sub
+from operator import le
 
 from .graphs import diameter, is_connected
-from .temporal import TemporalGraph
+from .temporal import TemporalGraph, largest_gap
 
 LETTER_RECURRENCE = "letter-recurrence"
 EDGE_RECURRENCE = "edge-recurrence"
@@ -73,19 +73,10 @@ def _vacuous(lemma_id: str, note: str) -> LemmaReport:
     return LemmaReport(lemma_id, False, True, (), note)
 
 
-def _largest_gap(times: tuple[int, ...], lifetime: int) -> int:
-    """The largest step between consecutive entries of (0, *times,
-    lifetime + 1). A window of k consecutive timesteps inside [1, lifetime]
-    holds none of the increasing ``times`` exactly when this exceeds k."""
-    bounds = (0, *times, lifetime + 1)
-    return max(map(sub, bounds[1:], bounds))
-
-
 def _uncovered_windows(times: tuple[int, ...], size: int, lifetime: int):
     """Ascending starts t of the windows [t, t+size-1] inside [1, lifetime]
-    that hold none of the increasing ``times``."""
-    if _largest_gap(times, lifetime) <= size:
-        return
+    that hold none of the increasing ``times``; there are none unless
+    ``largest_gap(times, lifetime)`` exceeds ``size``."""
     last = lifetime - size + 1
     bounds = (0, *times, lifetime + 1)
     for a, b in zip(bounds, bounds[1:]):
@@ -104,8 +95,9 @@ def check_letter_recurrence(tg: TemporalGraph) -> LemmaReport:
         if lifetime - span + 1 < 1:
             unfit.append(v.token)
             continue
-        for t in _uncovered_windows(tg.letter_times[v], span, lifetime):
-            violations.append((v.token, t))
+        if tg.letter_gaps[v] > span:
+            for t in _uncovered_windows(tg.letter_times[v], span, lifetime):
+                violations.append((v.token, t))
     notes = ""
     if unfit:
         notes = "windows exceed the lifetime for: " + ", ".join(sorted(unfit))
@@ -121,7 +113,7 @@ def check_edge_recurrence(tg: TemporalGraph) -> LemmaReport:
     if not tg.base.edges:
         return _checked(EDGE_RECURRENCE, [], "no edges to check")
     delta = min(len(tg.base.adjacency[v]) for v in tg.base.vertices)
-    wide = {v for v, ts in tg.letter_times.items() if _largest_gap(ts, lifetime) > delta + 1}
+    wide = {v for v, gap in tg.letter_gaps.items() if gap > delta + 1}
     violations: list[tuple] = []
     for u, v in sorted(tg.base.edges):
         # Its times contain each endpoint's letter times: an endpoint gap of
@@ -129,10 +121,12 @@ def check_edge_recurrence(tg: TemporalGraph) -> LemmaReport:
         if u not in wide or v not in wide:
             continue
         times = tg.activation_times(u, v)
+        widest = largest_gap(times, lifetime)
         local = min(len(tg.base.adjacency[u]), len(tg.base.adjacency[v]))
         for kind, gap in (("delta-window", delta), ("min-degree-window", local)):
-            for t in _uncovered_windows(times, gap + 1, lifetime):
-                violations.append((kind, u.token, v.token, t))
+            if widest > gap + 1:
+                for t in _uncovered_windows(times, gap + 1, lifetime):
+                    violations.append((kind, u.token, v.token, t))
     # delta <= local for every edge, so some window fits exactly when a
     # delta-window does.
     notes = "" if lifetime > delta else "no window fits inside the lifetime"
@@ -241,9 +235,9 @@ def check_union_windows(tg: TemporalGraph) -> LemmaReport:
     # then at least dia + 2; (c) needs such a gap too. Every other edge
     # passes both, and so does an edge with an endpoint whose letter times
     # have no such gap, since its times contain that endpoint's.
-    wide = {v for v, ts in tg.letter_times.items() if _largest_gap(ts, lifetime) > dia + 1}
+    wide = {v for v, gap in tg.letter_gaps.items() if gap > dia + 1}
     times = {(u, v): tg.activation_times(u, v) for u, v in edges if u in wide and v in wide}
-    gapped = [e for e, ts in times.items() if _largest_gap(ts, lifetime) > dia + 1]
+    gapped = [e for e, ts in times.items() if largest_gap(ts, lifetime) > dia + 1]
 
     if lifetime - dia - 1 >= 1:
         late = [

@@ -16,8 +16,9 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from operator import sub
 
-from .graphs import Edge, StaticGraph, build_graph, make_edge
+from .graphs import StaticGraph, build_graph, make_edge
 from .words import Symbol, Word
 
 
@@ -38,6 +39,14 @@ def start_points(word: Word) -> tuple[int, ...]:
         else:
             seen.add(sym)
     return tuple(starts)
+
+
+def largest_gap(times: tuple[int, ...], lifetime: int) -> int:
+    """The largest step between consecutive entries of (0, *times,
+    lifetime + 1). A window of k consecutive timesteps inside [1, lifetime]
+    holds none of the increasing ``times`` exactly when this exceeds k."""
+    bounds = (0, *times, lifetime + 1)
+    return max(map(sub, bounds[1:], bounds))
 
 
 @dataclass(frozen=True)
@@ -65,10 +74,6 @@ class TemporalGraph:
         ends = tuple(s - 1 for s in self.start_points[1:]) + (len(self.word),)
         return tuple(zip(self.start_points, ends))
 
-    def _require_timestep(self, t: int) -> None:
-        if not 1 <= t <= self.lifetime:
-            raise ValueError(f"timestep {t} outside [1, {self.lifetime}]")
-
     @cached_property
     def letter_times(self) -> dict[Symbol, tuple[int, ...]]:
         """Timesteps whose factor holds each vertex; strictly increasing
@@ -79,15 +84,11 @@ class TemporalGraph:
                 times[v].append(t)
         return {v: tuple(ts) for v, ts in times.items()}
 
-    def edges_at(self, t: int) -> frozenset[Edge]:
-        """The edge set of timestep ``t``: every edge incident to a letter of
-        factor t."""
-        self._require_timestep(t)
-        lo, hi = self.factor_bounds[t - 1]
-        adjacency = self.base.adjacency
-        return frozenset(
-            make_edge(sym, nb) for sym in self.word.symbols[lo - 1 : hi] for nb in adjacency[sym]
-        )
+    @cached_property
+    def letter_gaps(self) -> dict[Symbol, int]:
+        """``largest_gap`` of each vertex's letter times."""
+        lifetime = self.lifetime
+        return {v: largest_gap(ts, lifetime) for v, ts in self.letter_times.items()}
 
     def activation_times(self, u: Symbol, v: Symbol) -> tuple[int, ...]:
         """Increasing timesteps at which the edge (u, v) is active: the union
@@ -127,7 +128,8 @@ def build_temporal(word: Word) -> TemporalGraph:
 
 def is_edge_active(tg: TemporalGraph, e: tuple[Symbol, Symbol], t: int) -> bool:
     """Membership of an underlying edge in timestep ``t``'s edge set."""
-    tg._require_timestep(t)
+    if not 1 <= t <= tg.lifetime:
+        raise ValueError(f"timestep {t} outside [1, {tg.lifetime}]")
     return next_activation(tg, e, t - 1) == t
 
 

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_lemmas_reference import edges_at
 from wordgraph.explore import (
     Schedule,
     exploration_bound,
@@ -43,7 +44,7 @@ def brute_min_exploration(tg, start):
         if best is not None and now >= best:
             return
         for t in range(now + 1, tg.lifetime + 1):
-            for u, v in tg.edges_at(t):
+            for u, v in edges_at(tg, t):
                 if vertex in (u, v):
                     nxt = v if vertex == u else u
                     recurse(nxt, visited | {nxt}, t)

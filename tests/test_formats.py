@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from test_lemmas_reference import edges_at
 from wordgraph.explore import Schedule, schedule_explore
 from wordgraph.formats import (
     ParseError,
@@ -133,7 +134,7 @@ class TestGraphDocuments:
             {
                 "range": [lo, hi],
                 "letters": sorted(set(tokens[lo - 1 : hi])),
-                "edges": [list(edge) for edge in sorted(tg.edges_at(t))],
+                "edges": [list(edge) for edge in sorted(edges_at(tg, t))],
             }
             for t, (lo, hi) in enumerate(tg.factor_bounds, start=1)
         ]

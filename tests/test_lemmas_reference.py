@@ -6,8 +6,10 @@ them. The window checkers below scan those sets window by window, and the
 activity queries scan them timestep by timestep. The library derives the same
 facts from per-vertex letter times, so ``check_letter_recurrence``,
 ``check_edge_recurrence``, ``check_union_windows``, ``always_connected``,
-``edges_at``, ``next_activation``, ``is_edge_active`` and the temporal JSON
-must agree with them exactly, witnesses and their order included.
+``next_activation``, ``is_edge_active`` and the temporal JSON must agree
+with them exactly, witnesses and their order included. ``edges_at`` derives
+one timestep's edge set from ``factor_bounds``, for tests that scan
+timesteps.
 ``reference_interleaving`` walks every vertex pair rank by rank and
 ``reference_occurrence_balance`` compares every pair's counts;
 ``check_interleaving`` and ``check_occurrence_balance`` read pairs only when
@@ -60,6 +62,16 @@ WITNESS_KINDS = {
     "occurrence-balance",
     "interleaving",
 }
+
+
+def edges_at(tg, t):
+    """The edge set of timestep ``t``: every base edge incident to a letter
+    of factor t."""
+    lo, hi = tg.factor_bounds[t - 1]
+    adjacency = tg.base.adjacency
+    return frozenset(
+        make_edge(sym, nb) for sym in tg.word.symbols[lo - 1 : hi] for nb in adjacency[sym]
+    )
 
 
 class ReferenceActivity:
@@ -289,7 +301,7 @@ def assert_matches_reference(tg):
     for report, expected in reports:
         assert report == expected, (str(tg.word), tg.start_points)
     for t in range(1, tg.lifetime + 1):
-        assert tg.edges_at(t) == ref.active[t - 1]
+        assert edges_at(tg, t) == ref.active[t - 1]
     for e in tg.base.edges:
         for t in range(tg.lifetime + 1):
             assert next_activation(tg, e, t) == ref.next_activation(e, t)

