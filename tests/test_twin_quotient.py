@@ -4,10 +4,15 @@
 class states and maps its class path back to vertices: a new visit takes
 the class's lowest-id unvisited member, a revisit its lowest-id visited
 member other than the current vertex. Optima are compared with the plain
-reference search.
+reference search, and every state the witness passes with the latest time
+from which a brute-force search over concrete (visited set, vertex) states
+still visits every vertex by the optimum.
 """
 
+import heapq
 import random
+from bisect import bisect_right
+from functools import lru_cache
 
 import pytest
 
@@ -127,3 +132,72 @@ def test_witness_takes_the_lowest_id_twin(word):
             else:
                 assert v == next(w for w in group[v] if w not in visited)
                 visited.add(v)
+
+
+def brute_latest(tg, start, target):
+    """{(mask, vertex id): (e, L)} for every state a walk from ``start``
+    reaches by ``target``: e is its earliest time, and L the last time from
+    which some walk still visits every vertex by ``target``, or -1."""
+    vertices = tg.base.vertices
+    n = len(vertices)
+    ids = {v: i for i, v in enumerate(vertices)}
+    full = (1 << n) - 1
+    # An edge is active whenever either endpoint is a letter.
+    times = tg.letter_times
+    moves = [
+        [(ids[u], tuple(sorted({*times[v], *times[u]}))) for u in tg.base.adjacency[v]]
+        for v in vertices
+    ]
+
+    def next_time(ts, t):
+        i = bisect_right(ts, t)
+        return ts[i] if i < len(ts) and ts[i] <= target else None
+
+    @lru_cache(maxsize=None)
+    def finishes(mask, v, t):
+        return mask == full or any(
+            (t_next := next_time(ts, t)) is not None and finishes(mask | 1 << u, u, t_next)
+            for u, ts in moves[v]
+        )
+
+    s = ids[start]
+    earliest = {(1 << s, s): 0}
+    heap = [(0, 1 << s, s)]
+    while heap:
+        t, mask, v = heapq.heappop(heap)
+        if earliest[mask, v] != t:
+            continue
+        for u, ts in moves[v]:
+            t_next = next_time(ts, t)
+            state = (mask | 1 << u, u)
+            if t_next is not None and t_next < earliest.get(state, target + 1):
+                earliest[state] = t_next
+                heapq.heappush(heap, (t_next, *state))
+    return {
+        state: (e, max((t for t in range(e, target + 1) if finishes(*state, t)), default=-1))
+        for state, e in earliest.items()
+    }
+
+
+@pytest.mark.parametrize("word", witness_cases())
+def test_latest_times_match_brute_force(word):
+    # The optimum is the first target the brute force can meet, and the
+    # witness enters each concrete state between its earliest and latest time.
+    tg = build_temporal(word)
+    vertices = tg.base.vertices
+    ids = {v: i for i, v in enumerate(vertices)}
+    start = vertices[0]
+    result = oracle_explore(tg, start, vertex_limit=ORACLE_MAX_VERTICES)
+    state = (1 << 0, 0)
+    if not result.feasible:
+        assert brute_latest(tg, start, tg.lifetime)[state][1] == -1
+        return
+    target = result.length
+    assert brute_latest(tg, start, target - 1)[state][1] == -1
+    latest = brute_latest(tg, start, target)
+    assert latest[state][1] >= 0
+    for (u, v), t in result.schedule.steps:
+        assert ids[u] == state[1]
+        state = (state[0] | 1 << ids[v], ids[v])
+        e, last = latest[state]
+        assert e <= t <= last
