@@ -9,12 +9,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 from operator import lt
 from typing import Iterable, Iterator
 
-from .words import Symbol, Word
+from .words import Symbol, Word, cached
 
 Edge = tuple[Symbol, Symbol]
 
@@ -64,7 +63,7 @@ class StaticGraph:
         es = frozenset(make_edge(u, v) for u, v in edges)
         return cls(vs, es)
 
-    @cached_property
+    @cached
     def adjacency(self) -> dict[Symbol, frozenset[Symbol]]:
         acc: dict[Symbol, set[Symbol]] = {v: set() for v in self.vertices}
         for u, v in self.edges:
@@ -72,11 +71,18 @@ class StaticGraph:
             acc[v].add(u)
         return {v: frozenset(nbrs) for v, nbrs in acc.items()}
 
-    @cached_property
+    @cached
     def distances(self) -> dict[Symbol, dict[Symbol, int]]:
         """BFS distances from every vertex. A row holds only the vertices its
         source reaches, so rows are short on a disconnected graph."""
         return {v: _bfs_distances(self, v) for v in self.vertices}
+
+    @cached
+    def _connected(self) -> bool:
+        """Backs ``is_connected``. A graph with fewer than n - 1 edges has no
+        spanning tree, so it is disconnected without a search."""
+        n = len(self.vertices)
+        return len(self.edges) >= n - 1 and len(_bfs_distances(self, self.vertices[0])) == n
 
     def require_vertex(self, v: Symbol) -> None:
         if v not in self.adjacency:
@@ -124,7 +130,8 @@ def _bfs_distances(graph: StaticGraph, source: Symbol) -> dict[Symbol, int]:
 
 
 def is_connected(graph: StaticGraph) -> bool:
-    return len(_bfs_distances(graph, graph.vertices[0])) == len(graph.vertices)
+    """Whether every vertex reaches every other; decided once per graph."""
+    return graph._connected
 
 
 def diameter(graph: StaticGraph) -> int:

@@ -73,6 +73,18 @@ def _vacuous(lemma_id: str, note: str) -> LemmaReport:
     return LemmaReport(lemma_id, False, True, (), note)
 
 
+# A checker whose connectivity precondition fails reports the same thing on
+# every input, and reports are frozen with immutable fields, so these are
+# built once and shared.
+_UNMET = {
+    LETTER_RECURRENCE: _vacuous(LETTER_RECURRENCE, "not connected in every timestep"),
+    EDGE_RECURRENCE: _vacuous(EDGE_RECURRENCE, "not connected in every timestep"),
+    OCCURRENCE_BALANCE: _vacuous(OCCURRENCE_BALANCE, "underlying graph is disconnected"),
+    INTERLEAVING: _vacuous(INTERLEAVING, "underlying graph is disconnected"),
+    UNION_WINDOWS: _vacuous(UNION_WINDOWS, "underlying graph is disconnected"),
+}
+
+
 def _uncovered_windows(times: tuple[int, ...], size: int, lifetime: int):
     """Ascending starts t of the windows [t, t+size-1] inside [1, lifetime]
     that hold none of the increasing ``times``; there are none unless
@@ -86,7 +98,7 @@ def _uncovered_windows(times: tuple[int, ...], size: int, lifetime: int):
 def check_letter_recurrence(tg: TemporalGraph) -> LemmaReport:
     """Every symbol recurs within any degree(v)+1 consecutive factors."""
     if not tg.always_connected:
-        return _vacuous(LETTER_RECURRENCE, "not connected in every timestep")
+        return _UNMET[LETTER_RECURRENCE]
     lifetime = tg.lifetime
     violations: list[tuple] = []
     unfit: list[str] = []
@@ -108,7 +120,7 @@ def check_edge_recurrence(tg: TemporalGraph) -> LemmaReport:
     """Every edge recurs within delta+1 timesteps, and within
     min(deg(u), deg(v))+1 timesteps."""
     if not tg.always_connected:
-        return _vacuous(EDGE_RECURRENCE, "not connected in every timestep")
+        return _UNMET[EDGE_RECURRENCE]
     lifetime = tg.lifetime
     if not tg.base.edges:
         return _checked(EDGE_RECURRENCE, [], "no edges to check")
@@ -136,7 +148,7 @@ def check_edge_recurrence(tg: TemporalGraph) -> LemmaReport:
 def check_occurrence_balance(tg: TemporalGraph) -> LemmaReport:
     """Occurrence counts of two symbols differ by at most their distance."""
     if not is_connected(tg.base):
-        return _vacuous(OCCURRENCE_BALANCE, "underlying graph is disconnected")
+        return _UNMET[OCCURRENCE_BALANCE]
     counts = {v: len(tg.word.occurrences[v]) for v in tg.base.vertices}
     # Counts within 1 on every edge bound |count x - count y| by the length
     # of a shortest x-y path, which is their distance (triangle inequality).
@@ -170,7 +182,7 @@ def check_interleaving(tg: TemporalGraph) -> LemmaReport:
     """Occurrences of symbols at distance d' stay within d' occurrence ranks
     of each other."""
     if not is_connected(tg.base):
-        return _vacuous(INTERLEAVING, "underlying graph is disconnected")
+        return _UNMET[INTERLEAVING]
     occurrences = tg.word.occurrences
     # Edges certify every pair. With ranks out of range read as -inf and
     # +inf, both directions passing on an edge (a, b) give
@@ -215,7 +227,7 @@ def check_interleaving(tg: TemporalGraph) -> LemmaReport:
 def check_union_windows(tg: TemporalGraph) -> LemmaReport:
     """Diameter-sized windows of timesteps jointly activate every edge."""
     if not is_connected(tg.base):
-        return _vacuous(UNION_WINDOWS, "underlying graph is disconnected")
+        return _UNMET[UNION_WINDOWS]
     graph = tg.base
     lifetime = tg.lifetime
     dia = diameter(graph)

@@ -15,11 +15,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 from operator import sub
 
-from .graphs import StaticGraph, build_graph, make_edge
-from .words import Symbol, Word
+from .graphs import StaticGraph, build_graph, is_connected, make_edge
+from .words import Symbol, Word, cached
 
 
 def start_points(word: Word) -> tuple[int, ...]:
@@ -68,13 +67,13 @@ class TemporalGraph:
     def lifetime(self) -> int:
         return len(self.start_points)
 
-    @cached_property
+    @cached
     def factor_bounds(self) -> tuple[tuple[int, int], ...]:
         """Closed 1-based position interval of every factor."""
         ends = tuple(s - 1 for s in self.start_points[1:]) + (len(self.word),)
         return tuple(zip(self.start_points, ends))
 
-    @cached_property
+    @cached
     def letter_times(self) -> dict[Symbol, tuple[int, ...]]:
         """Timesteps whose factor holds each vertex; strictly increasing
         unless non-greedy start points repeat a letter inside a factor."""
@@ -84,7 +83,7 @@ class TemporalGraph:
                 times[v].append(t)
         return {v: tuple(ts) for v, ts in times.items()}
 
-    @cached_property
+    @cached
     def letter_gaps(self) -> dict[Symbol, int]:
         """``largest_gap`` of each vertex's letter times."""
         lifetime = self.lifetime
@@ -95,17 +94,23 @@ class TemporalGraph:
         of its endpoints' letter times."""
         return tuple(sorted({*self.letter_times[u], *self.letter_times[v]}))
 
-    @cached_property
+    @cached
     def always_connected(self) -> bool:
         """True when every timestep's graph is one component spanning all
         vertices. In timestep t a letter of factor t reaches all its
         neighbours, and any other vertex only its neighbours among those
         letters."""
+        # Every timestep graph is a spanning subgraph of the base, and one
+        # whose factor holds every vertex activates every base edge.
+        if not is_connected(self.base):
+            return False
         adjacency = self.base.adjacency
         root = self.base.vertices[0]
         n = len(self.base.vertices)
         for lo, hi in self.factor_bounds:
             letters = frozenset(self.word.symbols[lo - 1 : hi])
+            if len(letters) == n:
+                continue
             reached = {root}
             queue = deque([root])
             while queue:

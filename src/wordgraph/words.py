@@ -1,4 +1,5 @@
-"""Symbols, words and word powers.
+"""Symbols, words and word powers, and ``cached``, the descriptor behind
+every cached field of the package's immutable values.
 
 Positions are 1-based throughout the public API: ``w.occurrences`` lists
 the symbol ``w.symbols[p - 1]`` at position ``p``, matching the index
@@ -10,9 +11,35 @@ between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import repeat
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
+
+
+class cached:
+    """A value computed from its instance on first access and stored in the
+    instance ``__dict__``, where later lookups find it before this
+    descriptor.
+
+    Unlike ``functools.cached_property`` before Python 3.12, a fill takes no
+    lock: the values are pure functions of immutable instances, so two
+    threads that race to fill one store equal values. Writing ``__dict__``
+    directly also works on frozen dataclasses, and leaves their ``==`` and
+    ``hash`` unchanged. ``func`` is the wrapped function.
+    """
+
+    def __init__(self, func: Callable) -> None:
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 class Symbol(str):
@@ -29,7 +56,7 @@ class Symbol(str):
             raise TypeError(f"symbol token must be a str, got {type(token).__name__}")
         if not token:
             raise ValueError("symbol token must be nonempty")
-        if any(ch.isspace() for ch in token):
+        if any(map(str.isspace, token)):
             raise ValueError(f"symbol token may not contain whitespace: {token!r}")
         return super().__new__(cls, token)
 
@@ -71,12 +98,12 @@ class Word:
         """Read a word with one character per symbol, e.g. ``"acbacbab"``."""
         return cls.from_tokens(text)
 
-    @cached_property
+    @cached
     def alphabet(self) -> frozenset[Symbol]:
         """The set of symbols that actually occur in the word."""
         return frozenset(self.symbols)
 
-    @cached_property
+    @cached
     def occurrences(self) -> dict[Symbol, tuple[int, ...]]:
         """Map each symbol to its strictly increasing 1-based positions."""
         acc: dict[Symbol, list[int]] = {}

@@ -7,6 +7,12 @@ comparisons instead, so its edge set must equal the one the merge gives, on
 the corpus, on every short word, on family powers, and on powers of
 permutation blocks, where a pair that alternates does so along the whole
 word.
+
+``is_connected`` is decided once per graph and answers False without a
+search below n - 1 edges; ``reference_connected`` grows the reached set
+over the edge list until it stops growing, with no adjacency, cache or edge
+count, and the two must agree on the corpus and on hand-built graphs at and
+around that edge count.
 """
 
 import random
@@ -16,8 +22,12 @@ import pytest
 
 from test_acceptance import corpus_words, family_instances, short_words
 from test_lemmas_reference import exhaustive_words
+import wordgraph.graphs as graphs
+from wordgraph.explore import exploration_bound, schedule_explore
 from wordgraph.families import layered_word, path_word
-from wordgraph.graphs import build_graph
+from wordgraph.graphs import StaticGraph, build_graph, is_connected
+from wordgraph.lemmas import run_all
+from wordgraph.temporal import build_temporal
 from wordgraph.words import Symbol, Word, power
 
 
@@ -86,3 +96,96 @@ def test_permutation_block_powers():
     words += [Word.from_tokens([f"k{v}" for v in range(n)] * n) for n in range(1, 13)]
     for word in words:
         assert_matches_reference(word)
+
+
+def reference_connected(graph):
+    reached = {graph.vertices[0]}
+    grew = True
+    while grew:
+        grew = False
+        for u, v in graph.edges:
+            if (u in reached) != (v in reached):
+                reached |= {u, v}
+                grew = True
+    return len(reached) == len(graph.vertices)
+
+
+def connectivity_probes(rng, count):
+    """Graphs from ``StaticGraph.from_edges``: single vertices, trees (n - 1
+    edges), forests (fewer), trees with extra edges, random edge sets, and
+    a clique of three or more beside isolated vertices, which is
+    disconnected with n - 1 or more edges."""
+    probes = [StaticGraph.from_edges([Symbol("v")])]
+    for _ in range(count):
+        n = rng.randint(2, 9)
+        vs = [Symbol(f"v{i}") for i in range(n)]
+        tree = [(vs[i], vs[rng.randrange(i)]) for i in range(1, n)]
+        pairs = list(combinations(vs, 2))
+        extra = rng.sample(pairs, rng.randint(1, len(pairs)))
+        forest = rng.sample(tree, rng.randrange(n - 1))
+        probes += [
+            StaticGraph.from_edges(vs, tree),
+            StaticGraph.from_edges(vs, forest),
+            StaticGraph.from_edges(vs, tree + extra),
+            StaticGraph.from_edges(vs, extra),
+        ]
+        if n >= 4:
+            k = rng.randint(3, n - 1)
+            probes.append(StaticGraph.from_edges(vs, combinations(vs[:k], 2)))
+    return probes
+
+
+def test_is_connected_on_corpus_words():
+    built = [build_graph(word) for word in corpus_words() + short_words(2000, seed=17)]
+    assert {reference_connected(g) for g in built} == {True, False}
+    for graph in built:
+        assert is_connected(graph) == reference_connected(graph)
+
+
+def test_is_connected_on_built_graphs():
+    probes = connectivity_probes(random.Random(11), 400)
+    # Every class is present, including disconnected graphs that meet the
+    # edge count and so need the search.
+    n_minus_1 = [g for g in probes if len(g.edges) == len(g.vertices) - 1]
+    assert any(map(reference_connected, n_minus_1))
+    assert not all(map(reference_connected, n_minus_1))
+    assert any(
+        not reference_connected(g) and len(g.edges) > len(g.vertices) - 1 for g in probes
+    )
+    for graph in probes:
+        assert is_connected(graph) == reference_connected(graph)
+
+
+def counted_searches(monkeypatch):
+    calls = []
+    search = graphs._bfs_distances
+
+    def counting(graph, source):
+        calls.append(source)
+        return search(graph, source)
+
+    monkeypatch.setattr(graphs, "_bfs_distances", counting)
+    return calls
+
+
+def test_sparse_disconnected_word_runs_no_search(monkeypatch):
+    tg = build_temporal(Word.from_chars("ababcdcd"))
+    assert len(tg.base.edges) < len(tg.base.vertices) - 1
+    calls = counted_searches(monkeypatch)
+    run_all(tg)
+    assert not is_connected(tg.base)
+    assert calls == []
+    # The per-timestep searches of always_connected read adjacency.
+    assert "adjacency" not in tg.base.__dict__
+
+
+def test_connected_word_searches_once(monkeypatch):
+    tg = build_temporal(power(path_word(5), 5))
+    tg.base.distances  # the diameter's own searches, filled before counting
+    calls = counted_searches(monkeypatch)
+    run_all(tg)
+    assert is_connected(tg.base)
+    result = schedule_explore(tg, tg.base.vertices[0])
+    exploration_bound(tg)
+    assert result.visited_all
+    assert calls == [tg.base.vertices[0]]
