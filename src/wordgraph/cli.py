@@ -158,6 +158,8 @@ def _bench_row(family: str, n: int, d_param: int | None, k: int) -> dict:
 
 def _cmd_bench(args) -> int:
     lo, hi = _parse_range(args.n_range)
+    if args.step < 1:
+        raise ValueError(f"--step must be at least 1, got {args.step}")
     if args.family == "layered" and args.ratio < 1:
         raise ValueError(f"--ratio must be at least 1, got {args.ratio}")
     rows = []
@@ -262,14 +264,16 @@ def run_cli(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except ValueError as exc:
-        return _fail(_ERROR_KINDS.get(type(exc), "invalid-arguments"), exc)
+    except (ValueError, OverflowError) as exc:
+        return _fail(_ERROR_KINDS.get(type(exc), "invalid-arguments"), str(exc))
+    except MemoryError as exc:
+        return _fail("out-of-memory", str(exc) or "not enough memory to finish the command")
     except OSError as exc:
-        return _fail("io-error", exc)
+        return _fail("io-error", str(exc))
 
 
-def _fail(kind: str, exc: Exception) -> int:
-    sys.stderr.write(json.dumps({"error": kind, "message": str(exc)}) + "\n")
+def _fail(kind: str, message: str) -> int:
+    sys.stderr.write(json.dumps({"error": kind, "message": message}) + "\n")
     return 1
 
 

@@ -73,23 +73,30 @@ def _graph_json(graph: StaticGraph, tail: str = "") -> str:
 
 
 def _temporal_json(tg: TemporalGraph) -> str:
-    # Each base edge is rendered once and appended at each of its activation
-    # times; walking the edges in order leaves every timestep's list in edge
-    # order.
-    active: list[list[str]] = [[] for _ in range(tg.lifetime)]
-    for edge in sorted(tg.base.edges):
-        block = _json_edge(edge, 8)
-        for t in tg.activation_times(*edge):
-            active[t - 1].append(block)
+    # A timestep's letters and edges depend only on its factor: the active
+    # edges are the base edges with an endpoint among its letters. So each
+    # distinct factor's tail, and each edge block, is rendered once, and a
+    # timestep adds only its range.
+    adjacency = tg.base.adjacency
     quoted = {v: encode_basestring_ascii(v) for v in tg.base.vertices}
+    blocks = {edge: _json_edge(edge, 8) for edge in tg.base.edges}
+    tails: dict[tuple[Symbol, ...], str] = {}
     symbols = tg.word.symbols
     timesteps = []
-    for (lo, hi), edges in zip(tg.factor_bounds, active):
-        letters = [quoted[v] for v in sorted(set(symbols[lo - 1 : hi]))]
+    for lo, hi in tg.factor_bounds:
+        factor = symbols[lo - 1 : hi]
+        tail = tails.get(factor)
+        if tail is None:
+            letters = sorted(set(factor))
+            edges = sorted(
+                {(v, u) if v < u else (u, v) for v in letters for u in adjacency[v]}
+            )
+            tail = tails[factor] = (
+                f'      "letters": {_json_list([quoted[v] for v in letters], 6)},\n'
+                f'      "edges": {_json_list([blocks[e] for e in edges], 6)}\n    }}'
+            )
         timesteps.append(
-            f'{{\n      "range": [\n        {lo},\n        {hi}\n      ],\n'
-            f'      "letters": {_json_list(letters, 6)},\n'
-            f'      "edges": {_json_list(edges, 6)}\n    }}'
+            f'{{\n      "range": [\n        {lo},\n        {hi}\n      ],\n{tail}'
         )
     starts = _json_list(list(map(str, tg.start_points)), 2)
     return _graph_json(

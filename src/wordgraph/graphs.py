@@ -7,9 +7,9 @@ visiting walk.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
 from operator import lt
 from typing import Iterable, Iterator
 
@@ -95,12 +95,19 @@ def build_graph(word: Word) -> StaticGraph:
     if len(word) == 0:
         raise ValueError("cannot build a graph from the empty word")
     occurrences = word.occurrences
-    vertices = tuple(sorted(word.alphabet))
+    # ``occurrences`` is keyed in first-occurrence order. Symbols alternate
+    # only if the later one first occurs before the earlier one's second
+    # occurrence, so each symbol is paired only with the symbols whose first
+    # occurrence falls in that range.
+    runs = list(occurrences.items())
+    firsts = [px[0] for _, px in runs]
     edges = set()
-    for x, y in combinations(vertices, 2):
-        if _alternating_positions(occurrences[x], occurrences[y]):
-            edges.add((x, y))
-    return StaticGraph(vertices, frozenset(edges))
+    for i, (x, px) in enumerate(runs, start=1):
+        end = bisect_left(firsts, px[1], i) if len(px) > 1 else len(runs)
+        for y, py in runs[i:end]:
+            if _alternating_positions(px, py):
+                edges.add((x, y) if x < y else (y, x))
+    return StaticGraph(tuple(sorted(occurrences)), frozenset(edges))
 
 
 def _alternating_positions(px: tuple[int, ...], py: tuple[int, ...]) -> bool:
@@ -135,11 +142,17 @@ def is_connected(graph: StaticGraph) -> bool:
 
 
 def diameter(graph: StaticGraph) -> int:
-    """Largest pairwise distance. Undefined (raises) on disconnected graphs."""
-    rows = graph.distances.values()
-    if any(len(row) != len(graph.vertices) for row in rows):
+    """Largest pairwise distance. Undefined (raises) on disconnected graphs.
+
+    A connected graph with n - 1 edges is a tree, and in a tree the vertex
+    farthest from any vertex ends a longest path, so two searches suffice.
+    """
+    if not is_connected(graph):
         raise DisconnectedGraphError("diameter is undefined: graph is disconnected")
-    return max(max(row.values()) for row in rows)
+    if len(graph.edges) == len(graph.vertices) - 1:
+        dist = _bfs_distances(graph, graph.vertices[0])
+        return max(_bfs_distances(graph, max(dist, key=dist.get)).values())
+    return max(max(row.values()) for row in graph.distances.values())
 
 
 def min_degree(graph: StaticGraph) -> int:

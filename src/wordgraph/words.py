@@ -105,7 +105,8 @@ class Word:
 
     @cached
     def occurrences(self) -> dict[Symbol, tuple[int, ...]]:
-        """Map each symbol to its strictly increasing 1-based positions."""
+        """Map each symbol to its strictly increasing 1-based positions,
+        keyed in first-occurrence order."""
         acc: dict[Symbol, list[int]] = {}
         for pos, sym in enumerate(self.symbols, start=1):
             acc.setdefault(sym, []).append(pos)

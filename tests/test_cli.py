@@ -290,6 +290,27 @@ class TestBench:
         assert json.loads(err)["error"] == "invalid-arguments"
         assert not out_csv.exists()
 
+    @pytest.mark.parametrize("step", ["0", "-1"])
+    def test_step_below_one_is_domain_error(self, capsys, tmp_path, step):
+        out_csv = tmp_path / "bench.csv"
+        code, out, err = run(
+            capsys,
+            "bench",
+            "--family",
+            "path",
+            "--n-range",
+            "4:6",
+            "--step",
+            step,
+            "--csv",
+            str(out_csv),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "invalid-arguments"
+        assert not out_csv.exists()
+
     def test_missing_output_directory_is_io_error(self, capsys, tmp_path):
         out_csv = tmp_path / "missing" / "bench.csv"
         code, out, err = run(

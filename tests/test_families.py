@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from wordgraph import cli
 from wordgraph.cli import run_cli
 from wordgraph.families import layered_word, path_word
 from wordgraph.graphs import Edge, build_graph, diameter, make_edge
@@ -241,6 +242,19 @@ class TestFamilySpecs:
             power(path_word(4), 0)
         self.gen_fails(capsys, "path", "--n", "2")
         self.gen_fails(capsys, "path", "--n", "4", "--k", "0")
+        # A power too long to index fails before anything is allocated.
+        self.gen_fails(capsys, "path", "--n", "5", "--k", str(10**20))
+
+    def test_power_out_of_memory_is_one_error_line(self, capsys, monkeypatch):
+        def exhausted(word, k):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "power", exhausted)
+        assert run_cli(["gen", "path", "--n", "5", "--k", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert json.loads(captured.err)["error"] == "out-of-memory"
 
     def test_layered_spec_builds_power(self, capsys):
         assert run_cli(["gen", "layered", "--n", "6", "--d", "3", "--k", "2"]) == 0

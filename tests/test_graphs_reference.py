@@ -6,13 +6,20 @@ and fails at the first two consecutive positions from the same run.
 comparisons instead, so its edge set must equal the one the merge gives, on
 the corpus, on every short word, on family powers, and on powers of
 permutation blocks, where a pair that alternates does so along the whole
-word.
+word. The reference tests every pair of letters, while ``build_graph``
+tests only candidate pairs, those whose later symbol first occurs before
+the earlier one's second occurrence, so the two agreeing also shows that no
+other pair alternates.
 
 ``is_connected`` is decided once per graph and answers False without a
 search below n - 1 edges; ``reference_connected`` grows the reached set
 over the edge list until it stops growing, with no adjacency, cache or edge
 count, and the two must agree on the corpus and on hand-built graphs at and
 around that edge count.
+
+``diameter`` takes two searches on a tree and reads the all-pairs distances
+otherwise; ``reference_diameter`` relaxes the edge list from every vertex,
+and the two must agree on the corpus and on the same hand-built graphs.
 """
 
 import random
@@ -25,7 +32,7 @@ from test_lemmas_reference import exhaustive_words
 import wordgraph.graphs as graphs
 from wordgraph.explore import exploration_bound, schedule_explore
 from wordgraph.families import layered_word, path_word
-from wordgraph.graphs import StaticGraph, build_graph, is_connected
+from wordgraph.graphs import StaticGraph, build_graph, diameter, is_connected
 from wordgraph.lemmas import run_all
 from wordgraph.temporal import build_temporal
 from wordgraph.words import Symbol, Word, power
@@ -156,6 +163,60 @@ def test_is_connected_on_built_graphs():
         assert is_connected(graph) == reference_connected(graph)
 
 
+def reference_diameter(graph):
+    """Largest pairwise distance by relaxing every edge until no distance
+    shrinks, from every vertex; None on a disconnected graph."""
+    n = len(graph.vertices)
+    longest = 0
+    for source in graph.vertices:
+        dist = {v: n for v in graph.vertices}
+        dist[source] = 0
+        changed = True
+        while changed:
+            changed = False
+            for u, v in graph.edges:
+                for a, b in ((u, v), (v, u)):
+                    if dist[a] + 1 < dist[b]:
+                        dist[b] = dist[a] + 1
+                        changed = True
+        if max(dist.values()) == n:
+            return None
+        longest = max(longest, *dist.values())
+    return longest
+
+
+def assert_diameter_matches_reference(graph):
+    expected = reference_diameter(graph)
+    if expected is None:
+        with pytest.raises(graphs.DisconnectedGraphError):
+            diameter(graph)
+    else:
+        assert diameter(graph) == expected
+
+
+def test_diameter_on_corpus_words():
+    built = [build_graph(word) for word in corpus_words()]
+    # Trees take the two-sweep path, other connected graphs read distances.
+    assert any(len(g.edges) == len(g.vertices) - 1 and is_connected(g) for g in built)
+    assert any(len(g.edges) > len(g.vertices) - 1 and is_connected(g) for g in built)
+    for graph in built:
+        assert_diameter_matches_reference(graph)
+
+
+def test_diameter_on_built_graphs():
+    # Single vertices, trees, forests, trees with extra edges, random edge
+    # sets, and a clique beside isolated vertices.
+    for graph in connectivity_probes(random.Random(12), 400):
+        assert_diameter_matches_reference(graph)
+
+
+def test_tree_diameter_reads_no_distances():
+    for n in (3, 4, 9):
+        graph = build_graph(power(path_word(n), n))
+        assert diameter(graph) == n - 1
+        assert "distances" not in graph.__dict__
+
+
 def counted_searches(monkeypatch):
     calls = []
     search = graphs._bfs_distances
@@ -181,11 +242,14 @@ def test_sparse_disconnected_word_runs_no_search(monkeypatch):
 
 def test_connected_word_searches_once(monkeypatch):
     tg = build_temporal(power(path_word(5), 5))
-    tg.base.distances  # the diameter's own searches, filled before counting
     calls = counted_searches(monkeypatch)
     run_all(tg)
     assert is_connected(tg.base)
     result = schedule_explore(tg, tg.base.vertices[0])
     exploration_bound(tg)
     assert result.visited_all
-    assert calls == [tg.base.vertices[0]]
+    # One connectivity search. The base is the path 1-2-3-4-5, a tree, so
+    # each diameter (union-windows, then exploration_bound) is two sweeps:
+    # from vertex 1, then from vertex 5, the far end.
+    first, far = tg.base.vertices[0], tg.base.vertices[-1]
+    assert calls == [first] + [first, far] * 2

@@ -9,7 +9,9 @@ facts from per-vertex letter times, so ``check_letter_recurrence``,
 ``next_activation``, ``is_edge_active`` and the temporal JSON must agree
 with them exactly, witnesses and their order included. ``edges_at`` derives
 one timestep's edge set from ``factor_bounds``, for tests that scan
-timesteps.
+timesteps. ``per_edge_temporal_json`` renders the temporal JSON edge by edge
+from activation times; the library renders each distinct factor once, and
+the two must agree byte for byte.
 ``reference_interleaving`` walks every vertex pair rank by rank and
 ``reference_occurrence_balance`` compares every pair's counts;
 ``check_interleaving`` and ``check_occurrence_balance`` read pairs only when
@@ -29,11 +31,12 @@ import itertools
 import json
 import random
 from collections import Counter, deque
+from json.encoder import encode_basestring_ascii
 
 import pytest
 
 from test_acceptance import corpus_words, family_instances, short_words
-from wordgraph.formats import emit_graph
+from wordgraph.formats import _graph_json, _json_edge, _json_list, emit_graph
 from wordgraph.graphs import StaticGraph, _bfs_distances, is_connected, make_edge
 from wordgraph.lemmas import (
     EDGE_RECURRENCE,
@@ -232,6 +235,32 @@ class ReferenceActivity:
         if skipped:
             notes = "skipped (window does not fit): " + ", ".join(skipped)
         return LemmaReport(UNION_WINDOWS, True, not violations, tuple(violations), notes)
+
+
+def per_edge_temporal_json(tg):
+    """The temporal JSON rendered edge by edge: each base edge is rendered
+    once and appended to the timestep list of each of its activation times,
+    so walking the edges in order leaves every list in edge order."""
+    active = [[] for _ in range(tg.lifetime)]
+    for edge in sorted(tg.base.edges):
+        block = _json_edge(edge, 8)
+        for t in tg.activation_times(*edge):
+            active[t - 1].append(block)
+    quoted = {v: encode_basestring_ascii(v) for v in tg.base.vertices}
+    symbols = tg.word.symbols
+    timesteps = []
+    for (lo, hi), edges in zip(tg.factor_bounds, active):
+        letters = [quoted[v] for v in sorted(set(symbols[lo - 1 : hi]))]
+        timesteps.append(
+            f'{{\n      "range": [\n        {lo},\n        {hi}\n      ],\n'
+            f'      "letters": {_json_list(letters, 6)},\n'
+            f'      "edges": {_json_list(edges, 6)}\n    }}'
+        )
+    starts = _json_list(list(map(str, tg.start_points)), 2)
+    return _graph_json(
+        tg.base,
+        f',\n  "start_points": {starts},\n  "timesteps": {_json_list(timesteps, 2)}',
+    )
 
 
 def reference_interleaving(tg):
@@ -439,6 +468,31 @@ def test_foreign_base_probe():
     assert fallbacks[EDGE_RECURRENCE, "passed"] > 15
     assert fallbacks[UNION_WINDOWS, "undecided"] > 300
     assert fallbacks[UNION_WINDOWS, "passed"] > 100
+
+
+def test_emitter_matches_per_edge_renderer():
+    """The temporal JSON renders each distinct factor once; it must match
+    the per-edge rendering byte for byte, without filling ``letter_times``."""
+    rng = random.Random(9)
+    graphs = [build_temporal(word) for word in corpus_words()]
+    graphs += non_greedy_probes(rng, 1500)
+    graphs += foreign_base_probes(rng, 1500)
+    words = [power(path_word(n), k) for n in (3, 5, 8, 20) for k in (1, 2, n)]
+    words += [
+        power(layered_word(n, d), k)
+        for n, d in ((6, 3), (8, 4), (12, 6), (15, 5))
+        for k in (1, 2, n)
+    ]
+    words += [
+        power(Word.from_tokens(str(i) for i in range(n)), k)
+        for n in (1, 2, 5, 12)
+        for k in (1, 3, 2 * n)
+    ]
+    graphs += map(build_temporal, words)
+    for tg in graphs:
+        text = emit_graph(tg)
+        assert "letter_times" not in tg.__dict__
+        assert text == per_edge_temporal_json(tg), (str(tg.word), tg.start_points)
 
 
 def test_spanning_subgraph_probe():

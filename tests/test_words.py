@@ -208,6 +208,11 @@ class TestOccurrenceIndices:
         assert Symbol("c") not in Word.from_chars("ab").occurrences
 
     @given(words())
+    def test_keyed_in_first_occurrence_order(self, w):
+        # build_graph bisects the first positions in key order.
+        assert list(w.occurrences) == list(dict.fromkeys(w.symbols))
+
+    @given(words())
     def test_positions_strictly_increase_and_point_at_symbol(self, w):
         for sym in w.alphabet:
             positions = w.occurrences[sym]
