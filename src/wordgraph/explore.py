@@ -31,6 +31,7 @@ from .graphs import (
     is_connected,
     make_edge,
     min_degree,
+    neighbourhood_classes,
     spanning_walk,
 )
 from .temporal import TemporalGraph, is_edge_active, next_activation
@@ -356,30 +357,21 @@ def oracle_explore(
 def _twin_classes(tg: TemporalGraph) -> list[int]:
     """The temporal twin class of each vertex id, named by its first member.
 
-    Two vertices are temporal twins when they have the same open
-    neighbourhood, or the same closed one (then they are adjacent), and the
-    same ``letter_times``. Their incident edges then have equal activation
-    times, so swapping them is an automorphism of the temporal graph. Equal
-    neighbourhoods alone do not make twins, since different letter times
-    give their edges different activation times. A vertex without twins is
-    a class of its own.
+    Two vertices are temporal twins when they share a class of
+    ``neighbourhood_classes`` (the same open or closed neighbourhood) and
+    the same ``letter_times``. Their incident edges then have equal
+    activation times, so swapping them is an automorphism of the temporal
+    graph. Equal neighbourhoods alone do not make twins, since different
+    letter times give their edges different activation times. A vertex
+    without twins is a class of its own.
     """
     vertices = tg.base.vertices
-    opened = list(map(tg.base.adjacency.__getitem__, vertices))
-    closed = list(map(frozenset.union, opened, zip(vertices)))
-    # A dict built from a reversed list keeps each key's first vertex id.
-    ids = range(len(vertices))[::-1]
-    first_open = dict(zip(opened[::-1], ids))
-    first_closed = dict(zip(closed[::-1], ids))
-    # A vertex v with an open twin w has no closed twin x: x would be a
-    # neighbour of w, so w would be in N[x] = N[v]. One of the two firsts
-    # is therefore v itself, and the smaller one names its class.
-    first = list(
-        map(min, map(first_open.__getitem__, opened), map(first_closed.__getitem__, closed))
-    )
+    first = neighbourhood_classes(tg.base)
     times = list(map(tg.letter_times.__getitem__, vertices))
     if list(map(times.__getitem__, first)) != times:
+        # A dict built from a reversed list keeps each key's first vertex id.
         keys = list(zip(first, times))
+        ids = range(len(vertices))[::-1]
         first = list(map(dict(zip(keys[::-1], ids)).__getitem__, keys))
     return first
 

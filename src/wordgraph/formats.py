@@ -12,7 +12,7 @@ import json
 from json.encoder import encode_basestring_ascii
 
 from .explore import Schedule
-from .graphs import Edge, StaticGraph
+from .graphs import StaticGraph
 from .lemmas import LemmaReport
 from .temporal import TemporalGraph
 from .words import Symbol, Word
@@ -57,15 +57,14 @@ def _json_list(items: list[str], indent: int) -> str:
     return "[" + pad + ("," + pad).join(items) + "\n" + " " * indent + "]"
 
 
-def _json_edge(edge: Edge, indent: int) -> str:
-    return _json_list(list(map(encode_basestring_ascii, edge)), indent)
-
-
 def _graph_json(graph: StaticGraph, tail: str = "") -> str:
     """The ``indent=2`` JSON object of ``graph``'s vertices and edges, with
     the rendered members ``tail`` appended."""
-    vertices = [encode_basestring_ascii(v) for v in sorted(graph.vertices)]
-    edges = [_json_edge(e, 4) for e in sorted(graph.edges)]
+    quoted = {v: encode_basestring_ascii(v) for v in graph.vertices}
+    vertices = [quoted[v] for v in sorted(graph.vertices)]
+    edges = [
+        f"[\n      {quoted[u]},\n      {quoted[v]}\n    ]" for u, v in sorted(graph.edges)
+    ]
     return (
         f'{{\n  "vertices": {_json_list(vertices, 2)},\n'
         f'  "edges": {_json_list(edges, 2)}{tail}\n}}\n'
@@ -79,7 +78,10 @@ def _temporal_json(tg: TemporalGraph) -> str:
     # timestep adds only its range.
     adjacency = tg.base.adjacency
     quoted = {v: encode_basestring_ascii(v) for v in tg.base.vertices}
-    blocks = {edge: _json_edge(edge, 8) for edge in tg.base.edges}
+    blocks = {
+        (u, v): f"[\n          {quoted[u]},\n          {quoted[v]}\n        ]"
+        for u, v in tg.base.edges
+    }
     tails: dict[tuple[Symbol, ...], str] = {}
     symbols = tg.word.symbols
     timesteps = []
@@ -137,8 +139,9 @@ def emit_graph(obj: StaticGraph | TemporalGraph, fmt: str = "json") -> str:
 def emit_schedule(schedule: Schedule, visited_all: bool) -> str:
     """The schedule as ``json.dumps(..., indent=2)`` would render it."""
     steps = [
-        f'{{\n      "edge": {_json_edge(edge, 6)},\n      "t": {t}\n    }}'
-        for edge, t in schedule.steps
+        f'{{\n      "edge": [\n        {encode_basestring_ascii(u)},\n'
+        f'        {encode_basestring_ascii(v)}\n      ],\n      "t": {t}\n    }}'
+        for (u, v), t in schedule.steps
     ]
     return (
         f'{{\n  "start": {encode_basestring_ascii(schedule.start)},\n'

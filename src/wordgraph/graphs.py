@@ -84,6 +84,28 @@ class StaticGraph:
         n = len(self.vertices)
         return len(self.edges) >= n - 1 and len(_bfs_distances(self, self.vertices[0])) == n
 
+    @cached
+    def _diameter(self) -> int | None:
+        """Backs ``diameter``; None on a disconnected graph.
+
+        A connected graph with n - 1 edges is a tree, and in a tree the
+        vertex farthest from any vertex ends a longest path, so two searches
+        suffice. Otherwise one search runs from the first member of each
+        ``neighbourhood_classes`` class: for twins u and v, every other
+        vertex is as far from u as from v, so they share an eccentricity.
+        """
+        if not self._connected:
+            return None
+        vertices = self.vertices
+        if len(self.edges) == len(vertices) - 1:
+            dist = _bfs_distances(self, vertices[0])
+            return max(_bfs_distances(self, max(dist, key=dist.get)).values())
+        return max(
+            max(_bfs_distances(self, vertices[i]).values())
+            for i, first in enumerate(neighbourhood_classes(self))
+            if i == first
+        )
+
     def require_vertex(self, v: Symbol) -> None:
         if v not in self.adjacency:
             raise ValueError(f"unknown vertex: {v!r}")
@@ -98,30 +120,42 @@ def build_graph(word: Word) -> StaticGraph:
     # ``occurrences`` is keyed in first-occurrence order. Symbols alternate
     # only if the later one first occurs before the earlier one's second
     # occurrence, so each symbol is paired only with the symbols whose first
-    # occurrence falls in that range.
+    # occurrence falls in that range. Such a pair alternates exactly when
+    # px, the run that starts first, is as long as py or one longer and
+    # px[i] < py[i] < px[i + 1] throughout.
     runs = list(occurrences.items())
     firsts = [px[0] for _, px in runs]
     edges = set()
     for i, (x, px) in enumerate(runs, start=1):
         end = bisect_left(firsts, px[1], i) if len(px) > 1 else len(runs)
         for y, py in runs[i:end]:
-            if _alternating_positions(px, py):
+            if (
+                0 <= len(px) - len(py) <= 1
+                and all(map(lt, px, py))
+                and all(map(lt, py, px[1:]))
+            ):
                 edges.add((x, y) if x < y else (y, x))
     return StaticGraph(tuple(sorted(occurrences)), frozenset(edges))
 
 
-def _alternating_positions(px: tuple[int, ...], py: tuple[int, ...]) -> bool:
-    # Two nonempty, strictly increasing position runs alternate exactly when,
-    # with px the run that starts first, px is as long as py or one longer
-    # and px[i] < py[i] < px[i + 1] throughout. Most pairs fail on the
-    # lengths or on px's second position, so those are tested first.
-    if py[0] < px[0]:
-        px, py = py, px
-    if not 0 <= len(px) - len(py) <= 1:
-        return False
-    if len(px) > 1 and px[1] < py[0]:
-        return False
-    return all(map(lt, px, py)) and all(map(lt, py, px[1:]))
+def neighbourhood_classes(graph: StaticGraph) -> list[int]:
+    """The class of each vertex id, named by its first member: vertices
+    with the same open neighbourhood, N(u) = N(v), or the same closed one,
+    N[u] = N[v] (then they are adjacent). A vertex alone in its class names
+    itself."""
+    vertices = graph.vertices
+    opened = list(map(graph.adjacency.__getitem__, vertices))
+    closed = list(map(frozenset.union, opened, zip(vertices)))
+    # A dict built from a reversed list keeps each key's first vertex id.
+    ids = range(len(vertices))[::-1]
+    first_open = dict(zip(opened[::-1], ids))
+    first_closed = dict(zip(closed[::-1], ids))
+    # A vertex v with an open twin w has no closed twin x: x would be a
+    # neighbour of w, so w would be in N[x] = N[v]. One of the two firsts
+    # is therefore v itself, and the smaller one names its class.
+    return list(
+        map(min, map(first_open.__getitem__, opened), map(first_closed.__getitem__, closed))
+    )
 
 
 def _bfs_distances(graph: StaticGraph, source: Symbol) -> dict[Symbol, int]:
@@ -144,15 +178,14 @@ def is_connected(graph: StaticGraph) -> bool:
 def diameter(graph: StaticGraph) -> int:
     """Largest pairwise distance. Undefined (raises) on disconnected graphs.
 
-    A connected graph with n - 1 edges is a tree, and in a tree the vertex
-    farthest from any vertex ends a longest path, so two searches suffice.
+    Decided once per graph: two searches on a tree, otherwise one search per
+    class of vertices with equal open or closed neighbourhoods. It never
+    fills ``graph.distances``.
     """
-    if not is_connected(graph):
+    dia = graph._diameter
+    if dia is None:
         raise DisconnectedGraphError("diameter is undefined: graph is disconnected")
-    if len(graph.edges) == len(graph.vertices) - 1:
-        dist = _bfs_distances(graph, graph.vertices[0])
-        return max(_bfs_distances(graph, max(dist, key=dist.get)).values())
-    return max(max(row.values()) for row in graph.distances.values())
+    return dia
 
 
 def min_degree(graph: StaticGraph) -> int:

@@ -184,16 +184,18 @@ def check_interleaving(tg: TemporalGraph) -> LemmaReport:
     if not is_connected(tg.base):
         return _UNMET[INTERLEAVING]
     occurrences = tg.word.occurrences
-    # Edges certify every pair. With ranks out of range read as -inf and
-    # +inf, both directions passing on an edge (a, b) give
-    # a_at(j) <= b_at(j+1) and b_at(j-1) <= a_at(j) for every integer j:
-    # inside the ranks that is the spread-1 condition, and past them the
-    # count guards give |len a - len b| <= 1, so +inf meets +inf. Chaining
-    # these along a shortest path from x to y, s edges long, gives
+    # Edges certify every pair. The spread-1 condition in both directions
+    # on an edge (a, b) makes the same two slice comparisons either way, so
+    # it is one ``_interleaved`` call plus both count guards,
+    # |len a - len b| <= 1. With ranks out of range read as -inf and +inf,
+    # it gives a_at(j) <= b_at(j+1) and b_at(j-1) <= a_at(j) for every
+    # integer j: inside the ranks that is the spread-1 condition, and past
+    # them the count guards make +inf meet +inf. Chaining these along a
+    # shortest path from x to y, s edges long, gives
     # chi_at(i-s) <= psi[i] <= chi_at(i+s), the condition at distance s.
     if all(
-        _interleaved(occurrences[u], occurrences[v], 1)
-        and _interleaved(occurrences[v], occurrences[u], 1)
+        abs(len(occurrences[u]) - len(occurrences[v])) <= 1
+        and _interleaved(occurrences[u], occurrences[v], 1)
         for u, v in tg.base.edges
     ):
         return _checked(INTERLEAVING, [])

@@ -21,7 +21,7 @@ from wordgraph.words import Word, cached
 
 FIELDS = {
     Word: ("alphabet", "occurrences"),
-    StaticGraph: ("adjacency", "distances", "_connected"),
+    StaticGraph: ("adjacency", "distances", "_connected", "_diameter"),
     TemporalGraph: ("factor_bounds", "letter_times", "letter_gaps", "always_connected"),
 }
 

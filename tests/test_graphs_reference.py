@@ -17,9 +17,13 @@ over the edge list until it stops growing, with no adjacency, cache or edge
 count, and the two must agree on the corpus and on hand-built graphs at and
 around that edge count.
 
-``diameter`` takes two searches on a tree and reads the all-pairs distances
-otherwise; ``reference_diameter`` relaxes the edge list from every vertex,
-and the two must agree on the corpus and on the same hand-built graphs.
+``diameter`` is decided once per graph. It takes two searches on a tree,
+and otherwise one search per class of vertices with equal open or closed
+neighbourhoods (``neighbourhood_classes``), never the all-pairs distances.
+``reference_diameter`` relaxes the edge list from every vertex, and the two
+must agree on the corpus, on the same hand-built graphs, and on twin-rich
+graphs that are not trees: complete-word and layered powers, complete
+bipartite and multipartite graphs, and two cliques that share a vertex.
 """
 
 import random
@@ -32,7 +36,13 @@ from test_lemmas_reference import exhaustive_words
 import wordgraph.graphs as graphs
 from wordgraph.explore import exploration_bound, schedule_explore
 from wordgraph.families import layered_word, path_word
-from wordgraph.graphs import StaticGraph, build_graph, diameter, is_connected
+from wordgraph.graphs import (
+    StaticGraph,
+    build_graph,
+    diameter,
+    is_connected,
+    neighbourhood_classes,
+)
 from wordgraph.lemmas import run_all
 from wordgraph.temporal import build_temporal
 from wordgraph.words import Symbol, Word, power
@@ -210,6 +220,53 @@ def test_diameter_on_built_graphs():
         assert_diameter_matches_reference(graph)
 
 
+def twin_rich_graphs():
+    """Connected graphs with more edges than a tree and fewer neighbourhood
+    classes than vertices."""
+    built = [
+        build_graph(power(Word.from_tokens(str(i) for i in range(n)), k))
+        for n in (3, 5, 9, 14)
+        for k in (1, 2, n)
+    ]
+    built += [
+        build_graph(power(layered_word(n, d), k))
+        for n, d in ((6, 3), (8, 4), (12, 4), (12, 6), (15, 5), (21, 7))
+        for k in (1, 2, n)
+    ]
+    vs = [Symbol(f"v{i}") for i in range(12)]
+    # Complete multipartite graphs, two parts (complete bipartite) and more.
+    for sizes in ((2, 2), (2, 5), (3, 4), (1, 1, 3), (2, 3, 4), (1, 2, 2, 3)):
+        part = [p for p, size in enumerate(sizes) for _ in range(size)]
+        members = vs[: len(part)]
+        built.append(
+            StaticGraph.from_edges(
+                members,
+                [
+                    (u, v)
+                    for (u, pu), (v, pv) in combinations(zip(members, part), 2)
+                    if pu != pv
+                ],
+            )
+        )
+    # Two cliques that share the vertex v0.
+    for a, b in ((3, 3), (3, 5), (4, 6)):
+        left, right = vs[:a], [vs[0], *vs[a : a + b - 1]]
+        built.append(
+            StaticGraph.from_edges(left + right, [*combinations(left, 2), *combinations(right, 2)])
+        )
+    return built
+
+
+def test_diameter_on_twin_rich_graphs():
+    built = twin_rich_graphs()
+    assert len(built) == 39
+    for graph in built:
+        assert is_connected(graph) and len(graph.edges) > len(graph.vertices) - 1
+        assert len(set(neighbourhood_classes(graph))) < len(graph.vertices)
+        assert_diameter_matches_reference(graph)
+        assert "distances" not in graph.__dict__
+
+
 def test_tree_diameter_reads_no_distances():
     for n in (3, 4, 9):
         graph = build_graph(power(path_word(n), n))
@@ -249,7 +306,27 @@ def test_connected_word_searches_once(monkeypatch):
     exploration_bound(tg)
     assert result.visited_all
     # One connectivity search. The base is the path 1-2-3-4-5, a tree, so
-    # each diameter (union-windows, then exploration_bound) is two sweeps:
-    # from vertex 1, then from vertex 5, the far end.
+    # the diameter is two sweeps, from vertex 1, then from vertex 5, the far
+    # end; exploration_bound reads the one union-windows found.
     first, far = tg.base.vertices[0], tg.base.vertices[-1]
-    assert calls == [first] + [first, far] * 2
+    assert calls == [first, first, far]
+
+
+@pytest.mark.parametrize(
+    "word, searches",
+    [
+        # Each of the 4 layers is one class of open twins.
+        (power(layered_word(12, 4), 12), 4),
+        # K_9: every vertex is a closed twin of every other.
+        (Word.from_tokens([f"k{i}" for i in range(9)] * 9), 1),
+    ],
+)
+def test_diameter_searches_once_per_class(monkeypatch, word, searches):
+    graph = build_graph(word)
+    calls = counted_searches(monkeypatch)
+    assert is_connected(graph)
+    assert len(calls) == 1
+    diameter(graph)
+    diameter(graph)
+    assert len(calls) == 1 + searches
+    assert "distances" not in graph.__dict__

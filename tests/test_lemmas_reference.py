@@ -36,7 +36,7 @@ from json.encoder import encode_basestring_ascii
 import pytest
 
 from test_acceptance import corpus_words, family_instances, short_words
-from wordgraph.formats import _graph_json, _json_edge, _json_list, emit_graph
+from wordgraph.formats import _graph_json, _json_list, emit_graph
 from wordgraph.graphs import StaticGraph, _bfs_distances, is_connected, make_edge
 from wordgraph.lemmas import (
     EDGE_RECURRENCE,
@@ -243,7 +243,7 @@ def per_edge_temporal_json(tg):
     so walking the edges in order leaves every list in edge order."""
     active = [[] for _ in range(tg.lifetime)]
     for edge in sorted(tg.base.edges):
-        block = _json_edge(edge, 8)
+        block = _json_list(list(map(encode_basestring_ascii, edge)), 8)
         for t in tg.activation_times(*edge):
             active[t - 1].append(block)
     quoted = {v: encode_basestring_ascii(v) for v in tg.base.vertices}
@@ -507,3 +507,18 @@ def test_spanning_subgraph_probe():
         grown += tg.base.distances != build_temporal(tg.word).base.distances
     # most probes must stretch some distance past the word's own graph
     assert grown > 150
+
+
+def test_interleaving_certificate_keeps_the_length_guard():
+    # On the edge (a, b) the runs (1, 3, 5) and (2,) pass both slice
+    # comparisons of the spread-1 condition, but their lengths differ by
+    # 2; (b, c) passes all of it. So only the length guard can fail the
+    # certificate and send the check to the pair scan.
+    word = Word.from_chars("abaca")
+    a, b, c = map(Symbol, "abc")
+    base = StaticGraph.from_edges([a, b, c], [(a, b), (b, c)])
+    tg = TemporalGraph(word, build_temporal(word).start_points, base)
+    report = check_interleaving(tg)
+    assert not report.passed
+    assert report == reference_interleaving(tg)
+    assert ("b", "a", 3) in report.violations
