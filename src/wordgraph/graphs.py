@@ -78,28 +78,35 @@ class StaticGraph:
         return {v: _bfs_distances(self, v) for v in self.vertices}
 
     @cached
-    def _connected(self) -> bool:
-        """Backs ``is_connected``. A graph with fewer than n - 1 edges has no
-        spanning tree, so it is disconnected without a search."""
+    def _connected(self) -> Symbol | None:
+        """Backs ``is_connected``: a vertex farthest from the first one, or
+        None on a disconnected graph. A graph with fewer than n - 1 edges has
+        no spanning tree, so it is disconnected without a search. A search
+        reaches the vertices in order of distance, so the last one it
+        reaches is farthest."""
         n = len(self.vertices)
-        return len(self.edges) >= n - 1 and len(_bfs_distances(self, self.vertices[0])) == n
+        if len(self.edges) < n - 1:
+            return None
+        dist = _bfs_distances(self, self.vertices[0])
+        return next(reversed(dist)) if len(dist) == n else None
 
     @cached
     def _diameter(self) -> int | None:
         """Backs ``diameter``; None on a disconnected graph.
 
         A connected graph with n - 1 edges is a tree, and in a tree the
-        vertex farthest from any vertex ends a longest path, so two searches
-        suffice. Otherwise one search runs from the first member of each
+        vertex farthest from any vertex ends a longest path, so one search
+        from the far vertex the connectivity search found suffices.
+        Otherwise one search runs from the first member of each
         ``neighbourhood_classes`` class: for twins u and v, every other
         vertex is as far from u as from v, so they share an eccentricity.
         """
-        if not self._connected:
+        far = self._connected
+        if far is None:
             return None
         vertices = self.vertices
         if len(self.edges) == len(vertices) - 1:
-            dist = _bfs_distances(self, vertices[0])
-            return max(_bfs_distances(self, max(dist, key=dist.get)).values())
+            return max(_bfs_distances(self, far).values())
         return max(
             max(_bfs_distances(self, vertices[i]).values())
             for i, first in enumerate(neighbourhood_classes(self))
@@ -116,13 +123,25 @@ def build_graph(word: Word) -> StaticGraph:
     symbols alternate."""
     if len(word) == 0:
         raise ValueError("cannot build a graph from the empty word")
-    occurrences = word.occurrences
+    symbols = word.symbols
+    period = word._period
+    # In a power u^k with k >= 2, x and y alternate exactly when they
+    # alternate in u and occur equally often there: the projection
+    # (u|xy)^k alternates only if u|xy ends on the letter it does not start
+    # with. So a power is read from one copy of its primitive root, without
+    # building that copy as a Word.
+    if period < len(symbols):
+        occurrences, slack = {}, 0
+        for pos, sym in enumerate(symbols[:period], start=1):
+            occurrences.setdefault(sym, []).append(pos)
+    else:
+        occurrences, slack = word.occurrences, 1
     # ``occurrences`` is keyed in first-occurrence order. Symbols alternate
     # only if the later one first occurs before the earlier one's second
     # occurrence, so each symbol is paired only with the symbols whose first
     # occurrence falls in that range. Such a pair alternates exactly when
-    # px, the run that starts first, is as long as py or one longer and
-    # px[i] < py[i] < px[i + 1] throughout.
+    # px, the run that starts first, is as long as py or up to ``slack``
+    # longer and px[i] < py[i] < px[i + 1] throughout.
     runs = list(occurrences.items())
     firsts = [px[0] for _, px in runs]
     edges = set()
@@ -130,7 +149,7 @@ def build_graph(word: Word) -> StaticGraph:
         end = bisect_left(firsts, px[1], i) if len(px) > 1 else len(runs)
         for y, py in runs[i:end]:
             if (
-                0 <= len(px) - len(py) <= 1
+                0 <= len(px) - len(py) <= slack
                 and all(map(lt, px, py))
                 and all(map(lt, py, px[1:]))
             ):
@@ -172,15 +191,15 @@ def _bfs_distances(graph: StaticGraph, source: Symbol) -> dict[Symbol, int]:
 
 def is_connected(graph: StaticGraph) -> bool:
     """Whether every vertex reaches every other; decided once per graph."""
-    return graph._connected
+    return graph._connected is not None
 
 
 def diameter(graph: StaticGraph) -> int:
     """Largest pairwise distance. Undefined (raises) on disconnected graphs.
 
-    Decided once per graph: two searches on a tree, otherwise one search per
-    class of vertices with equal open or closed neighbourhoods. It never
-    fills ``graph.distances``.
+    Decided once per graph: on a tree one search after the connectivity
+    search, otherwise one search per class of vertices with equal open or
+    closed neighbourhoods. It never fills ``graph.distances``.
     """
     dia = graph._diameter
     if dia is None:

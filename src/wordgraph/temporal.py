@@ -26,18 +26,50 @@ def start_points(word: Word) -> tuple[int, ...]:
 
     Greedy left-to-right scan: a factor closes right before the first symbol
     already seen since the factor opened, and that symbol opens the next one.
+
+    A power u^k is scanned one copy of its primitive root u at a time. A
+    factor is no longer than u, so the scan entering a copy depends only on
+    where the open factor started, relative to that copy. Once that offset
+    repeats, the starts found since it first occurred repeat, shifted by the
+    distance between the two copies, to the end of the word.
     """
-    if len(word) == 0:
+    symbols = word.symbols
+    n = len(symbols)
+    if n == 0:
         raise ValueError("the empty word has no timestep partition")
+    period = word._period
+    root = symbols[:period]
     starts = [1]
-    seen: set[Symbol] = set()
-    for pos, sym in enumerate(word.symbols, start=1):
+    seen = _scan(root, 1, starts, set())
+    # No factor is open where the first copy starts, and one is open where
+    # every later copy starts, so only the later copies are recorded.
+    entered: dict[int, tuple[int, int]] = {}
+    for base in range(period, n, period):
+        offset = starts[-1] - base
+        if offset in entered:
+            first, index = entered[offset]
+            block, shift = starts[index:], base - first
+            starts += [s + j for j in range(shift, n - first, shift) for s in block]
+            del starts[bisect_right(starts, n) :]
+            break
+        entered[offset] = base, len(starts)
+        seen = _scan(root, base + 1, starts, seen)
+    return tuple(starts)
+
+
+def _scan(
+    symbols: tuple[Symbol, ...], at: int, starts: list[int], seen: set[Symbol]
+) -> set[Symbol]:
+    """Continue the greedy scan over ``symbols``, the first of them at
+    position ``at``: append each factor start to ``starts``, and return the
+    letters of the factor left open, which ``seen`` held on entry."""
+    for pos, sym in enumerate(symbols, start=at):
         if sym in seen:
             starts.append(pos)
             seen = {sym}
         else:
             seen.add(sym)
-    return tuple(starts)
+    return seen
 
 
 def largest_gap(times: tuple[int, ...], lifetime: int) -> int:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
+from math import gcd
 from typing import Callable, Iterable, Iterator
 
 
@@ -111,6 +112,34 @@ class Word:
         for pos, sym in enumerate(self.symbols, start=1):
             acc.setdefault(sym, []).append(pos)
         return {sym: tuple(positions) for sym, positions in acc.items()}
+
+    @cached
+    def _period(self) -> int:
+        """The length p of the primitive root u, the shortest word with
+        ``self == u^k``: the length itself when the word is no proper power,
+        the empty word included.
+
+        The exponent k divides both the length n and the count of the first
+        symbol, so p = n / k is a multiple of n / gcd(n, count), and only
+        those multiples that divide n are tried, shortest first. The first
+        symbol must begin the second copy before the word is compared with
+        itself shifted by p. That test is by identity, which ``from_tokens``
+        makes exact; equal symbols that are distinct objects only cost a
+        proper power its shortcut.
+        """
+        symbols = self.symbols
+        n = len(symbols)
+        if n < 2:
+            return n
+        first = symbols[0]
+        g = gcd(n, symbols.count(first))
+        if g == 1:
+            return n
+        step = n // g
+        for p in range(step, n // 2 + 1, step):
+            if n % p == 0 and symbols[p] is first and symbols[p:] == symbols[:-p]:
+                return p
+        return n
 
     def __len__(self) -> int:
         return len(self.symbols)

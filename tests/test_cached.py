@@ -20,7 +20,7 @@ from wordgraph.temporal import TemporalGraph, build_temporal
 from wordgraph.words import Word, cached
 
 FIELDS = {
-    Word: ("alphabet", "occurrences"),
+    Word: ("alphabet", "occurrences", "_period"),
     StaticGraph: ("adjacency", "distances", "_connected", "_diameter"),
     TemporalGraph: ("factor_bounds", "letter_times", "letter_gaps", "always_connected"),
 }

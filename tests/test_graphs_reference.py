@@ -17,9 +17,10 @@ over the edge list until it stops growing, with no adjacency, cache or edge
 count, and the two must agree on the corpus and on hand-built graphs at and
 around that edge count.
 
-``diameter`` is decided once per graph. It takes two searches on a tree,
-and otherwise one search per class of vertices with equal open or closed
-neighbourhoods (``neighbourhood_classes``), never the all-pairs distances.
+``diameter`` is decided once per graph. On a tree it takes one search,
+from the far vertex the connectivity search reached last, and otherwise
+one search per class of vertices with equal open or closed neighbourhoods
+(``neighbourhood_classes``), never the all-pairs distances.
 ``reference_diameter`` relaxes the edge list from every vertex, and the two
 must agree on the corpus, on the same hand-built graphs, and on twin-rich
 graphs that are not trees: complete-word and layered powers, complete
@@ -305,11 +306,12 @@ def test_connected_word_searches_once(monkeypatch):
     result = schedule_explore(tg, tg.base.vertices[0])
     exploration_bound(tg)
     assert result.visited_all
-    # One connectivity search. The base is the path 1-2-3-4-5, a tree, so
-    # the diameter is two sweeps, from vertex 1, then from vertex 5, the far
-    # end; exploration_bound reads the one union-windows found.
+    # One connectivity search, from vertex 1. The base is the path
+    # 1-2-3-4-5, a tree, so the diameter is one more sweep, from vertex 5,
+    # the far end that search reached last; exploration_bound reads the one
+    # union-windows found.
     first, far = tg.base.vertices[0], tg.base.vertices[-1]
-    assert calls == [first, first, far]
+    assert calls == [first, far]
 
 
 @pytest.mark.parametrize(

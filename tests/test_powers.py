@@ -1,0 +1,192 @@
+"""Reading a power word by its primitive root.
+
+``Word._period`` is the length of the primitive root u of a word w = u^k.
+``build_graph`` tests the pairs of a proper power on one copy of u, where x
+and y alternate in u^k (k >= 2) exactly when they alternate in u and occur
+equally often there. ``start_points`` scans a power one copy at a time and,
+once the open factor enters two copies at the same offset, repeats the
+starts found between them. Here the period must equal the shortest divisor
+of the length that the word repeats with, the graph must equal the
+pairwise-alternation scan of the full word, and the starts the plain greedy
+scan, on random powers, non-primitive roots, every family instance and the
+corpus.
+"""
+
+import random
+from itertools import combinations
+
+import pytest
+
+from test_acceptance import corpus_words, family_instances
+from test_graphs_reference import reference_alternating
+import wordgraph.temporal as temporal
+from wordgraph.families import layered_word, path_word
+from wordgraph.graphs import build_graph
+from wordgraph.temporal import start_points
+from wordgraph.words import Symbol, Word, power
+
+
+def reference_period(word):
+    n = len(word)
+    return next(
+        (p for p in range(1, n) if n % p == 0 and word.symbols[:p] * (n // p) == word.symbols),
+        n,
+    )
+
+
+def reference_start_points(word):
+    starts, factor = [1], set()
+    for pos, sym in enumerate(word.symbols, start=1):
+        if sym in factor:
+            starts.append(pos)
+            factor = set()
+        factor.add(sym)
+    return tuple(starts)
+
+
+def reference_edges(word):
+    runs = {sym: [] for sym in word.symbols}
+    for pos, sym in enumerate(word.symbols, start=1):
+        runs[sym].append(pos)
+    return {
+        (x, y)
+        for x, y in combinations(sorted(runs), 2)
+        if reference_alternating(runs[x], runs[y])
+    }
+
+
+def assert_matches_references(word):
+    assert word._period == reference_period(word)
+    assert_scans_match_references(word)
+
+
+def assert_scans_match_references(word):
+    assert build_graph(word).edges == reference_edges(word)
+    assert start_points(word) == reference_start_points(word)
+
+
+def random_powers(rng, count):
+    out = []
+    for _ in range(count):
+        alphabet = [Symbol(str(v)) for v in range(rng.randint(1, 6))]
+        root = Word(tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 12))))
+        out.append(power(root, rng.randint(1, 6)))
+    return out
+
+
+@pytest.mark.parametrize(
+    "text, period",
+    [
+        ("a", 1),
+        ("aaaaaaa", 1),
+        ("abababab", 2),
+        ("abcabc", 3),
+        # Length 6 and three a's share the factor 3, but it is no power.
+        ("ababba", 6),
+        ("abab" "abba", 8),
+    ],
+)
+def test_period_examples(text, period):
+    word = Word.from_chars(text)
+    assert word._period == period == reference_period(word)
+
+
+def test_period_of_the_empty_word_is_its_length():
+    assert Word()._period == 0
+
+
+def test_equal_symbols_that_are_distinct_objects_give_up_the_root():
+    # The boundary test is by identity: a power built from equal but
+    # distinct symbols is read in full, and its results do not change.
+    word = Word(tuple(Symbol(c) for c in "abababab"))
+    assert word._period == 8 and reference_period(word) == 2
+    assert_scans_match_references(word)
+
+
+@pytest.mark.parametrize(
+    "root, k",
+    [
+        ("a", 6),
+        ("ab", 1),
+        ("abab", 2),
+        ("abab", 3),
+        ("aab", 4),
+        ("abcacb", 5),
+        ("aabb", 3),
+    ],
+)
+def test_power_examples(root, k):
+    word = power(Word.from_chars(root), k)
+    assert word._period == reference_period(Word.from_chars(root))
+    assert_matches_references(word)
+
+
+def test_factorization_that_settles_after_one_copy():
+    # One copy alone starts factors at 1, 3, 6. The factor left open enters
+    # copy 2 one position early and copies 3 and 4 at their first position,
+    # so the starts of copy 3 repeat those of copy 2, shifted by 7, and the
+    # starts of copy 1 (1, 3, 6) differ from those of copy 2 (9, 12, 14).
+    root = Word.from_tokens("3 1 3 2 1 2 1".split())
+    word = power(root, 5)
+    assert word._period == 7
+    expected = (1, 3, 6, 9, 12, 14, 16, 19, 21, 23, 26, 28, 30, 33, 35)
+    assert start_points(word) == reference_start_points(word) == expected
+    assert_matches_references(word)
+
+
+def test_offsets_that_repeat_every_second_copy():
+    # The open factor enters the copies of this root at two offsets in
+    # turn, so the starts repeat with a shift of two copies, and an odd
+    # number of copies ends in half a repetition.
+    root = Word.from_tokens("2 3 5 2 4 5 4 0 5 2 0 3".split())
+    starts = start_points(power(root, 6))
+    assert [s - 12 for s in starts if 24 < s <= 36] != [s for s in starts if 12 < s <= 24]
+    assert [s - 24 for s in starts if 36 < s <= 60] == [s for s in starts if 12 < s <= 36]
+    for k in range(1, 8):
+        assert_matches_references(power(root, k))
+
+
+@pytest.mark.parametrize(
+    "word",
+    [power(path_word(n), n) for n in (5, 6, 20, 21)]
+    + [power(layered_word(n, d), 8) for n, d in ((24, 4), (30, 5))],
+)
+def test_family_powers_scan_two_copies(monkeypatch, word):
+    # The open factor enters copies 2 and 3 at the same offset, so the scan
+    # stops after two copies and the rest of the starts are shifted copies.
+    scanned = []
+    scan = temporal._scan
+
+    def counting(symbols, at, starts, seen):
+        scanned.append(len(symbols))
+        return scan(symbols, at, starts, seen)
+
+    monkeypatch.setattr(temporal, "_scan", counting)
+    assert start_points(word) == reference_start_points(word)
+    assert scanned == [word._period] * 2
+
+
+def test_random_powers():
+    words = random_powers(random.Random(11), 3000)
+    assert sum(w._period < len(w) for w in words) > 2000
+    for word in words:
+        assert_matches_references(word)
+
+
+def test_powers_of_non_primitive_roots():
+    rng = random.Random(5)
+    for root in random_powers(rng, 300):
+        for k in (2, 3, 4):
+            word = power(root, k)
+            assert word._period == root._period
+            assert_matches_references(word)
+
+
+def test_family_instances():
+    for word in family_instances():
+        assert_matches_references(word)
+
+
+def test_corpus_words():
+    for word in corpus_words():
+        assert_matches_references(word)
