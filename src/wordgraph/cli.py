@@ -16,7 +16,7 @@ from functools import cache
 from pathlib import Path
 
 from . import families
-from .explore import exploration_bound, oracle_explore, schedule_explore
+from .explore import OracleBudgetError, exploration_bound, oracle_explore, schedule_explore
 from .formats import (
     ParseError,
     emit_graph,
@@ -47,6 +47,7 @@ BENCH_COLUMNS = [
 _ERROR_KINDS = {
     ParseError: "parse-error",
     DisconnectedGraphError: "disconnected-graph",
+    OracleBudgetError: "oracle-budget",
 }
 
 
@@ -78,7 +79,7 @@ def _cmd_explore(args) -> int:
 def _cmd_oracle(args) -> int:
     word = _load_word(args.word_file, args.chars)
     tg = build_temporal(word)
-    result = oracle_explore(tg, Symbol(args.start), vertex_limit=args.limit)
+    result = oracle_explore(tg, Symbol(args.start))
     if not result.feasible:
         sys.stdout.write(json.dumps({"start": args.start, "infeasible": True}) + "\n")
         return 0
@@ -131,12 +132,10 @@ def _bench_row(family: str, n: int, d_param: int | None, k: int) -> dict:
     start = min(tg.base.vertices)
     result = schedule_explore(tg, start)
     paper_bound, structural_bound = exploration_bound(tg)
-    vertex_count = len(tg.base.vertices)
-    oracle_len: int | str = ""
-    if vertex_count <= 15:
-        oracle = oracle_explore(tg, start)
-        if oracle.feasible:
-            oracle_len = oracle.length
+    try:
+        oracle_len = oracle_explore(tg, start).length
+    except OracleBudgetError:
+        oracle_len = None
     scheduler_len: int | str = result.schedule.length if result.visited_all else ""
     held = ""
     if result.visited_all:
@@ -148,7 +147,7 @@ def _bench_row(family: str, n: int, d_param: int | None, k: int) -> dict:
         "k": k,
         "T": tg.lifetime,
         "scheduler_len": scheduler_len,
-        "oracle_len": oracle_len,
+        "oracle_len": "" if oracle_len is None else oracle_len,
         "paper_bound": paper_bound,
         "structural_bound": structural_bound,
         "measured_diameter": diameter(tg.base),
@@ -212,10 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", required=True, help="start vertex token")
     p.set_defaults(handler=_cmd_explore)
 
-    p = sub.add_parser("oracle", help="exact optimal exploration (small graphs)")
+    p = sub.add_parser("oracle", help="exact optimal exploration, within a state budget")
     word_file_args(p)
     p.add_argument("--start", required=True, help="start vertex token")
-    p.add_argument("--limit", type=int, default=15, help="vertex count guard (at most 16)")
     p.set_defaults(handler=_cmd_oracle)
 
     p = sub.add_parser("gen", help="generate a family word")

@@ -12,7 +12,8 @@ Two entry points answer the same question at different costs:
   the class of the current vertex. Twins are interchangeable, so the class
   path maps back to a walk on vertices. On a twin-free word these are the
   (visited set, current vertex) states; the search is exponential in n, so
-  it is guarded by a vertex limit.
+  it stops with ``OracleBudgetError`` once it stores ``ORACLE_BUDGET``
+  states.
 
 The agent occupies its start vertex at time 0 and may move first at timestep
 1; it traverses at most one edge per timestep, and waiting consumes
@@ -39,9 +40,13 @@ from .words import Symbol
 
 Step = tuple[tuple[Symbol, Symbol], int]
 
-# Largest vertex_limit oracle_explore accepts; on a twin-free word its search
-# holds up to 2^n * n states.
-ORACLE_MAX_VERTICES = 16
+# States oracle_explore may store, about 150 bytes each; n vertices give at
+# most n * 2^n class states, so every word of up to 16 vertices fits.
+ORACLE_BUDGET = 16 << 16
+
+
+class OracleBudgetError(ValueError):
+    """The oracle's search stored more than ``ORACLE_BUDGET`` states."""
 
 
 @dataclass(frozen=True)
@@ -178,9 +183,7 @@ def validate_schedule(tg: TemporalGraph, schedule: Schedule) -> ScheduleViolatio
     return None
 
 
-def oracle_explore(
-    tg: TemporalGraph, start: Symbol, vertex_limit: int = 15
-) -> OracleResult:
+def oracle_explore(tg: TemporalGraph, start: Symbol) -> OracleResult:
     """Exact minimum exploration length from ``start``, with a witness.
 
     A* over class states with arrival time as cost. Temporal twins
@@ -207,23 +210,15 @@ def oracle_explore(
     member other than the current vertex, each at the link's activation
     time. Vertex ids follow token order.
 
-    Disconnected graphs are infeasible. Refuses more than ``vertex_limit``
-    vertices, and limits above ``ORACLE_MAX_VERTICES``, since a twin-free
-    word has n * 2^n states.
+    Disconnected graphs are infeasible. The search raises
+    ``OracleBudgetError`` when it is about to expand a state while storing
+    more than ``ORACLE_BUDGET`` states; the budget is read once per
+    expansion, so at most one expansion's moves lie beyond it.
     """
-    if vertex_limit > ORACLE_MAX_VERTICES:
-        raise ValueError(
-            f"oracle refused: a vertex limit of {vertex_limit} exceeds the "
-            f"maximum of {ORACLE_MAX_VERTICES}"
-        )
     graph = tg.base
     graph.require_vertex(start)
     vertices = graph.vertices
     n = len(vertices)
-    if n > vertex_limit:
-        raise ValueError(
-            f"oracle refused: {n} vertices exceeds the limit of {vertex_limit}"
-        )
     if n == 1:
         return OracleResult(Schedule(start))
     try:
@@ -310,6 +305,11 @@ def oracle_explore(
             rest &= below
         if rest:
             continue
+        if len(best) > ORACLE_BUDGET:
+            raise OracleBudgetError(
+                f"oracle stopped: {len(best)} states stored on {n} vertices "
+                f"exceed the budget of {ORACLE_BUDGET}"
+            )
         unvisited = (entry >> tshift) - t
         base = key & ~cm
         for d, more, bits, least, ts in links[key & cm]:

@@ -8,7 +8,10 @@ from pathlib import Path
 import pytest
 
 import wordgraph
+from wordgraph import explore
 from wordgraph.cli import run_cli
+from wordgraph.families import layered_word
+from wordgraph.words import power
 
 
 @pytest.fixture
@@ -19,6 +22,14 @@ def word_file(tmp_path):
         return str(path)
 
     return write
+
+
+def fresh_env(**extra):
+    """The environment of a fresh ``python -m wordgraph`` process that
+    imports this checkout's package."""
+    src = str(Path(wordgraph.__file__).parents[1])
+    pythonpath = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    return {**os.environ, "PYTHONPATH": pythonpath, **extra}
 
 
 def run(capsys, *argv):
@@ -139,24 +150,22 @@ class TestOracle:
         assert code == 0
         assert json.loads(out) == {"start": "a", "infeasible": True}
 
-    def test_limit_guard(self, capsys, word_file):
-        tokens = " ".join(
-            f"{x}" for pair in zip(range(1, 17), range(1, 17)) for x in pair
-        )
-        path = word_file(tokens + "\n")
-        code, _, err = run(capsys, "oracle", path, "--start", "1")
-        assert code == 1
-        assert "exceeds the limit" in json.loads(err)["message"]
-
-    def test_limit_above_the_maximum_fails_closed(self, capsys, word_file):
-        path = word_file("1 2 1 3 2 3\n")
-        code, out, err = run(capsys, "oracle", path, "--start", "1", "--limit", "40")
+    def test_budget_hit_fails_closed(self, capsys, word_file, monkeypatch):
+        monkeypatch.setattr(explore, "ORACLE_BUDGET", 10)
+        path = word_file(str(power(layered_word(12, 6), 12)) + "\n")
+        code, out, err = run(capsys, "oracle", path, "--start", "(1,1)")
         assert code == 1
         assert out == ""
         assert err.count("\n") == 1
         doc = json.loads(err)
-        assert doc["error"] == "invalid-arguments"
-        assert "exceeds the maximum of 16" in doc["message"]
+        assert doc["error"] == "oracle-budget"
+        assert doc["message"].endswith("exceed the budget of 10")
+
+    def test_layered_24_6_is_solved(self, capsys, word_file):
+        path = word_file(str(power(layered_word(24, 6), 24)) + "\n")
+        code, out, err = run(capsys, "oracle", path, "--start", "(1,1)")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["length"] == 32
 
     def test_disconnected_word_is_infeasible(self, capsys, word_file):
         path = word_file("a a b b\n")
@@ -237,6 +246,24 @@ class TestBench:
         ]
         for row in rows:
             assert int(row["measured_diameter"]) == int(row["d"]) - 1
+
+    def test_layered_24_6_fills_oracle_len(self, capsys, tmp_path):
+        out_csv = tmp_path / "layered.csv"
+        code, _, _ = run(
+            capsys,
+            "bench",
+            "--family",
+            "layered",
+            "--n-range",
+            "24:24",
+            "--ratio",
+            "4",
+            "--csv",
+            str(out_csv),
+        )
+        assert code == 0
+        rows = list(csv.DictReader(out_csv.read_text().splitlines()))
+        assert [(row["n"], row["d"], row["oracle_len"]) for row in rows] == [("24", "6", "32")]
 
     def test_bench_output_is_deterministic(self, capsys, tmp_path):
         paths = []
@@ -345,7 +372,7 @@ class TestParserReuse:
         "commands",
         [
             [
-                (1, ["oracle", "{path}", "--start", "1", "--limit", "40"]),
+                (2, ["oracle", "{path}", "--start", "1", "--limit", "40"]),
                 (0, ["oracle", "{path}", "--start", "1"]),
             ],
             [
@@ -359,9 +386,7 @@ class TestParserReuse:
     ):
         # a fixed width, so that argparse wraps usage lines alike in both
         monkeypatch.setenv("COLUMNS", "80")
-        src = str(Path(wordgraph.__file__).parents[1])
-        pythonpath = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-        env = {**os.environ, "PYTHONPATH": pythonpath}
+        env = fresh_env()
         path = word_file("1 2 1 3 2 3\n")
         for expected_code, template in commands:
             argv = [arg.format(path=path) for arg in template]
@@ -375,3 +400,28 @@ class TestParserReuse:
             )
             assert in_process == (fresh.returncode, fresh.stdout, fresh.stderr)
             assert in_process[0] == expected_code
+
+
+class TestHashSeeds:
+    """Emitted bytes do not depend on the hash seed of the process."""
+
+    @pytest.mark.parametrize("n, d", [(12, 6), (24, 6)])
+    def test_stdout_is_identical_across_hash_seeds(self, word_file, n, d):
+        path = word_file(str(power(layered_word(n, d), n)) + "\n")
+        for argv in (
+            ["build", path, "--temporal"],
+            ["explore", path, "--start", "(1,1)"],
+            ["oracle", path, "--start", "(1,1)"],
+            ["verify", path],
+        ):
+            outs = set()
+            for seed in ("0", "1", "2"):
+                fresh = subprocess.run(
+                    [sys.executable, "-m", "wordgraph", *argv],
+                    capture_output=True,
+                    env=fresh_env(PYTHONHASHSEED=seed),
+                    timeout=60,
+                )
+                assert (fresh.returncode, fresh.stderr) == (0, b"")
+                outs.add(fresh.stdout)
+            assert len(outs) == 1

@@ -2,8 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wordgraph
 from test_lemmas_reference import edges_at
+from wordgraph import explore
 from wordgraph.explore import (
+    OracleBudgetError,
     Schedule,
     exploration_bound,
     oracle_explore,
@@ -211,13 +214,28 @@ class TestOracle:
         assert not result.feasible
         assert result.length is None
 
-    def test_vertex_limit_guard(self):
-        tg = build_temporal(path_word(16))
-        with pytest.raises(ValueError):
-            oracle_explore(tg, Symbol("1"))
-        # raising the guard lets the same instance through
-        result = oracle_explore(tg, Symbol("1"), vertex_limit=16)
-        assert isinstance(result.feasible, bool)
+    def test_state_budget_guard(self, monkeypatch):
+        # n vertices give at most n * 2^n class states, so the budget admits
+        # every word of up to 16 vertices.
+        assert explore.ORACLE_BUDGET >= 16 * 2**16
+        tg = build_temporal(power(layered_word(12, 6), 12))
+        monkeypatch.setattr(explore, "ORACLE_BUDGET", 10)
+        with pytest.raises(OracleBudgetError, match="exceed the budget of 10"):
+            oracle_explore(tg, Symbol("(1,1)"))
+        assert issubclass(OracleBudgetError, ValueError)
+        assert "OracleBudgetError" not in wordgraph.__all__
+
+    def test_words_beyond_fifteen_vertices_are_solved(self):
+        # Words beyond the old 15-vertex cap, whose class searches stay small.
+        assert not oracle_explore(build_temporal(path_word(16)), Symbol("1")).feasible
+        for word, start, length in (
+            (power(path_word(16), 16), "1", 33),
+            (power(layered_word(24, 6), 24), "(1,1)", 32),
+        ):
+            tg = build_temporal(word)
+            result = oracle_explore(tg, Symbol(start))
+            assert result.length == length
+            assert validate_schedule(tg, result.schedule) is None
 
     @given(words(sigma=4, max_size=16))
     @settings(max_examples=40)

@@ -30,7 +30,6 @@ from test_acceptance import (
 )
 from wordgraph.cli import run_cli
 from wordgraph.explore import (
-    ORACLE_MAX_VERTICES,
     OracleResult,
     Schedule,
     Step,
@@ -45,16 +44,12 @@ from wordgraph.temporal import TemporalGraph, build_temporal, next_activation
 from wordgraph.words import Symbol, Word, power
 
 
-def reference_oracle(tg, start, vertex_limit=15):
+def reference_oracle(tg, start):
     """Earliest time at which some temporal walk from ``start`` has visited
     every vertex, or None."""
     graph = tg.base
     graph.require_vertex(start)
     n = len(graph.vertices)
-    if n > vertex_limit:
-        raise ValueError(
-            f"oracle refused: {n} vertices exceeds the limit of {vertex_limit}"
-        )
     index = {v: i for i, v in enumerate(graph.vertices)}
     full = (1 << n) - 1
     start_mask = 1 << index[start]
@@ -81,8 +76,8 @@ def reference_oracle(tg, start, vertex_limit=15):
 
 
 def assert_agrees(tg, start):
-    expected = reference_oracle(tg, start, vertex_limit=ORACLE_MAX_VERTICES)
-    result = oracle_explore(tg, start, vertex_limit=ORACLE_MAX_VERTICES)
+    expected = reference_oracle(tg, start)
+    result = oracle_explore(tg, start)
     assert result.length == expected
     assert result.feasible == (expected is not None)
     if result.feasible:
@@ -133,12 +128,6 @@ def test_agrees_on_the_small_corpus():
     assert checked > 500
 
 
-def test_limit_above_the_maximum_is_refused():
-    tg = build_temporal(Word.from_chars("121323"))
-    with pytest.raises(ValueError, match="exceeds the maximum"):
-        oracle_explore(tg, Symbol("1"), vertex_limit=ORACLE_MAX_VERTICES + 1)
-
-
 # Optima from (1,1) of layered (n, d)^n, as recorded by the benchmark's
 # oracle workload.
 LAYERED_POWER_OPTIMA = {(12, 4): 11, (12, 6): 14, (14, 7): 19, (15, 5): 17}
@@ -179,25 +168,14 @@ def test_cli_witness_bytes_on_layered_12_6(tmp_path, capsys):
     assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
 
 
-def unpruned_oracle(
-    tg: TemporalGraph, start: Symbol, vertex_limit: int = 15
-) -> OracleResult:
+def unpruned_oracle(tg: TemporalGraph, start: Symbol) -> OracleResult:
     """The exact optimum by A* over concrete (visited set, vertex) states,
     with the bounds and dominance skip of ``oracle_explore`` but no twin
     classes."""
-    if vertex_limit > ORACLE_MAX_VERTICES:
-        raise ValueError(
-            f"oracle refused: a vertex limit of {vertex_limit} exceeds the "
-            f"maximum of {ORACLE_MAX_VERTICES}"
-        )
     graph = tg.base
     graph.require_vertex(start)
     vertices = graph.vertices
     n = len(vertices)
-    if n > vertex_limit:
-        raise ValueError(
-            f"oracle refused: {n} vertices exceeds the limit of {vertex_limit}"
-        )
     if n == 1:
         return OracleResult(Schedule(start))
     try:
@@ -274,8 +252,8 @@ def unpruned_oracle(
 
 
 def assert_optimal_witness(tg, start):
-    result = oracle_explore(tg, start, vertex_limit=ORACLE_MAX_VERTICES)
-    expected = unpruned_oracle(tg, start, vertex_limit=ORACLE_MAX_VERTICES)
+    result = oracle_explore(tg, start)
+    expected = unpruned_oracle(tg, start)
     assert result.length == expected.length
     if result.feasible:
         assert validate_schedule(tg, result.schedule) is None

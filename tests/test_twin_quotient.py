@@ -24,7 +24,6 @@ from test_oracle_reference import (
     with_closed_twins,
 )
 from wordgraph.explore import (
-    ORACLE_MAX_VERTICES,
     _twin_classes,
     oracle_explore,
     validate_schedule,
@@ -120,8 +119,8 @@ def test_witness_takes_the_lowest_id_twin(word):
     members = [[w for w, f in zip(vertices, first) if f == c] for c in first]
     group = dict(zip(vertices, members))
     for start in vertices:
-        result = oracle_explore(tg, start, vertex_limit=ORACLE_MAX_VERTICES)
-        assert result.length == reference_oracle(tg, start, vertex_limit=ORACLE_MAX_VERTICES)
+        result = oracle_explore(tg, start)
+        assert result.length == reference_oracle(tg, start)
         if not result.feasible:
             continue
         assert validate_schedule(tg, result.schedule) is None
@@ -187,7 +186,7 @@ def test_latest_times_match_brute_force(word):
     vertices = tg.base.vertices
     ids = {v: i for i, v in enumerate(vertices)}
     start = vertices[0]
-    result = oracle_explore(tg, start, vertex_limit=ORACLE_MAX_VERTICES)
+    result = oracle_explore(tg, start)
     state = (1 << 0, 0)
     if not result.feasible:
         assert brute_latest(tg, start, tg.lifetime)[state][1] == -1
