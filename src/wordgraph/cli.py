@@ -157,6 +157,8 @@ def _bench_row(family: str, n: int, d_param: int | None, k: int) -> dict:
 
 def _cmd_bench(args) -> int:
     lo, hi = _parse_range(args.n_range)
+    if lo > hi:
+        raise ValueError(f"--n-range A:B needs A <= B, got {args.n_range}")
     if args.step < 1:
         raise ValueError(f"--step must be at least 1, got {args.step}")
     if args.family == "layered" and args.ratio < 1:

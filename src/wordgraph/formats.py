@@ -151,8 +151,23 @@ def emit_schedule(schedule: Schedule, visited_all: bool) -> str:
     )
 
 
+def _int_field(value, name: str) -> int:
+    if type(value) is not int:
+        raise TypeError(f"{name} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _edge_field(value) -> tuple[Symbol, Symbol]:
+    # Symbol rejects a token that is not a string.
+    if not isinstance(value, list) or len(value) != 2:
+        raise TypeError(f"edge must be a list of two strings, got {value!r}")
+    return Symbol(value[0]), Symbol(value[1])
+
+
 def parse_schedule(text: str) -> tuple[Schedule, bool]:
-    """Inverse of emit_schedule; validates shape and the length field."""
+    """Inverse of emit_schedule. Validates the shape: ``t`` and ``length``
+    are JSON integers, each ``edge`` is two strings and ``visited_all`` a
+    JSON boolean. Then checks the length field against the last step."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -160,11 +175,12 @@ def parse_schedule(text: str) -> tuple[Schedule, bool]:
     try:
         start = Symbol(doc["start"])
         steps = tuple(
-            ((Symbol(step["edge"][0]), Symbol(step["edge"][1])), int(step["t"]))
-            for step in doc["steps"]
+            (_edge_field(step["edge"]), _int_field(step["t"], "t")) for step in doc["steps"]
         )
-        length = int(doc["length"])
-        visited_all = bool(doc["visited_all"])
+        length = _int_field(doc["length"], "length")
+        visited_all = doc["visited_all"]
+        if not isinstance(visited_all, bool):
+            raise TypeError(f"visited_all must be a JSON boolean, got {visited_all!r}")
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ParseError(f"malformed schedule document: {exc!r}") from exc
     schedule = Schedule(start, steps)

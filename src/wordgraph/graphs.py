@@ -25,7 +25,7 @@ class DisconnectedGraphError(ValueError):
 def make_edge(u: Symbol, v: Symbol) -> Edge:
     """Normalise an undirected edge so (u, v) and (v, u) compare equal."""
     if u == v:
-        raise ValueError(f"self-loops are not edges: {u!r}")
+        raise ValueError(f"self-loops are not edges: {str(u)!r}")
     return (u, v) if u < v else (v, u)
 
 
@@ -48,9 +48,9 @@ class StaticGraph:
             raise ValueError("duplicate vertices")
         for u, v in self.edges:
             if u == v or not u < v:
-                raise ValueError(f"edge is not normalised: ({u!r}, {v!r})")
+                raise ValueError(f"edge is not normalised: {(str(u), str(v))}")
             if u not in vset or v not in vset:
-                raise ValueError(f"edge uses an unknown vertex: ({u!r}, {v!r})")
+                raise ValueError(f"edge uses an unknown vertex: {(str(u), str(v))}")
 
     @classmethod
     def from_edges(
@@ -115,7 +115,7 @@ class StaticGraph:
 
     def require_vertex(self, v: Symbol) -> None:
         if v not in self.adjacency:
-            raise ValueError(f"unknown vertex: {v!r}")
+            raise ValueError(f"unknown vertex: {str(v)!r}")
 
 
 def build_graph(word: Word) -> StaticGraph:

@@ -180,7 +180,7 @@ def next_activation(tg: TemporalGraph, e: tuple[Symbol, Symbol], t: int) -> int 
         raise ValueError(f"timestep cursor must be >= 0, got {t}")
     edge = make_edge(*e)
     if edge not in tg.base.edges:
-        raise ValueError(f"not an underlying edge: ({e[0]!r}, {e[1]!r})")
+        raise ValueError(f"not an underlying edge: {(str(e[0]), str(e[1]))}")
     u_times, v_times = tg.letter_times[edge[0]], tg.letter_times[edge[1]]
     i = bisect_right(u_times, t)
     j = bisect_right(v_times, t)

@@ -1,18 +1,31 @@
 """Acceptance suite: one test per release criterion, each printing a
 pass/fail line (run with ``pytest tests/test_acceptance.py -v -s``).
 
-Expected values fall into three groups: reference values recomputed here
-with independent oracles (recursive projection, greedy scan, brute-force
-alternation), hand-derived micro-instance optima, and oracle-computed growth
-constants frozen as regression values.
+Expected values fall into three groups: reference values recomputed with
+independent references (the recursive projection here, the closed forms of
+``references``), hand-derived micro-instance optima, and oracle-computed
+growth constants frozen as regression values.
 """
 
 import csv
-import random
 from pathlib import Path
 
 import pytest
 
+from references import (
+    LAYERED_FAMILY_GRID,
+    LAYERED_GROWTH_OPTIMA,
+    PATH_FAMILY_GRID,
+    PATH_GROWTH_OPTIMA,
+    REFERENCE_TEMPORAL_WORD,
+    corpus_words,
+    family_instances,
+    layered_edge_oracle,
+    path_edges,
+    predicted_path_timesteps,
+    project,
+    short_words,
+)
 from wordgraph.cli import run_cli
 from wordgraph.explore import (
     exploration_bound,
@@ -27,22 +40,9 @@ from wordgraph.lemmas import run_all
 from wordgraph.temporal import build_temporal, start_points
 from wordgraph.words import Symbol, Word, power
 
-from test_families import layered_edge_oracle, predicted_path_timesteps
-from test_words import project
-
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 REFERENCE_PROJECTION_WORD = "acbacbab"
-REFERENCE_TEMPORAL_WORD = "abacbdcedfegfhg"
-
-# path-family optima from v1 on word^n, computed once by the exact oracle
-# and frozen; the ratios opt/n must grow strictly
-PATH_GROWTH_OPTIMA = {5: 4, 6: 6, 8: 9, 10: 15}
-# layered optima from (1,1) on layered_word(2d, d)^(2d), frozen likewise
-LAYERED_GROWTH_OPTIMA = {4: 7, 5: 10, 6: 14}
-
-PATH_FAMILY_GRID = [(n, k) for n in (6, 8, 10, 12) for k in (1, 2, 3)]
-LAYERED_FAMILY_GRID = [(8, 4), (12, 4), (15, 5), (12, 6)]
 
 
 def announce(number, detail=""):
@@ -56,40 +56,6 @@ def recursive_projection(tokens, keep):
     head, *rest = tokens
     tail = recursive_projection(rest, keep)
     return head + tail if head in keep else tail
-
-
-def corpus_words(count=10_000, seed=20240817):
-    rng = random.Random(seed)
-    alphabets = {
-        sigma: [Symbol(str(i)) for i in range(1, sigma + 1)] for sigma in range(3, 9)
-    }
-    out = []
-    for _ in range(count):
-        alphabet = alphabets[rng.randint(3, 8)]
-        length = rng.randint(1, 60)
-        out.append(Word(tuple(rng.choice(alphabet) for _ in range(length))))
-    return out
-
-
-def short_words(count, seed):
-    # short words over small alphabets keep most pairs alternating, so their
-    # graphs are frequently connected and their schedules frequently complete
-    rng = random.Random(seed)
-    alphabets = {
-        sigma: [Symbol(str(i)) for i in range(1, sigma + 1)] for sigma in (3, 4, 5)
-    }
-    out = []
-    for _ in range(count):
-        alphabet = alphabets[rng.choice((3, 4, 5))]
-        length = rng.randint(1, 12)
-        out.append(Word(tuple(rng.choice(alphabet) for _ in range(length))))
-    return out
-
-
-def family_instances():
-    words = [power(path_word(n), k) for n, k in PATH_FAMILY_GRID]
-    words += [layered_word(n, d) for n, d in LAYERED_FAMILY_GRID]
-    return words
 
 
 def test_criterion_01_projection_reference_table():
@@ -120,10 +86,8 @@ def test_criterion_02_reference_temporal_structure():
 @pytest.mark.parametrize("n, k", PATH_FAMILY_GRID)
 def test_criterion_03_path_family_formulas(n, k):
     word = power(path_word(n), k)
-    expected_edges = frozenset(
-        make_edge(Symbol(str(x)), Symbol(str(x + 1))) for x in range(1, n)
-    )
-    assert build_graph(word).edges == expected_edges
+    path = [str(x) for x in range(1, n + 1)]
+    assert build_graph(word).edges == path_edges(path)
 
     scanned = start_points(word)
     lifetime, predicted = predicted_path_timesteps(n, k)

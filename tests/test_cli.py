@@ -1,11 +1,15 @@
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import wordgraph
 from wordgraph import explore
@@ -30,6 +34,47 @@ def fresh_env(**extra):
     src = str(Path(wordgraph.__file__).parents[1])
     pythonpath = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     return {**os.environ, "PYTHONPATH": pythonpath, **extra}
+
+
+# Characters a word file may mix with its tokens: comment marks, tabs,
+# carriage returns and the line breaks U+2028 and U+0085, NUL, a byte order
+# mark, quotes and backslashes.
+NOISE = ["#", "\t", "\r", "\n", " ", "\u2028", "\u0085", "\x00", "\ufeff", '"', "'", "\\"]
+
+
+@st.composite
+def word_files_and_commands(draw):
+    """Word-file bytes of at most 40 tokens over at most 10 distinct ones,
+    each followed by a space and one ``NOISE`` character or none, and the
+    argument vector of one command on it."""
+    pool = draw(
+        st.lists(
+            st.text(st.sampled_from("ab1(,)é\"'#\x00"), min_size=1, max_size=3),
+            min_size=1,
+            max_size=10,
+            unique=True,
+        )
+    )
+    tokens = draw(st.lists(st.sampled_from(pool), max_size=40))
+    gaps = st.sampled_from(["", *NOISE])
+    gaps = draw(st.lists(gaps, min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+    text = gaps[0] + "".join(f"{token} {gap}" for token, gap in zip(tokens, gaps[1:]))
+    command = draw(
+        st.sampled_from(
+            [
+                ["build"],
+                ["build", "--temporal"],
+                ["build", "--format", "dot"],
+                ["build", "--chars"],
+                ["explore"],
+                ["oracle"],
+                ["verify"],
+            ]
+        )
+    )
+    if command[0] in ("explore", "oracle"):
+        command.append(f"--start={draw(st.sampled_from(pool))}")
+    return text.encode("utf-8"), command
 
 
 def run(capsys, *argv):
@@ -128,7 +173,7 @@ class TestExplore:
         path = word_file("1 2 1 3 2 3\n")
         code, _, err = run(capsys, "explore", path, "--start", "9")
         assert code == 1
-        assert json.loads(err)["error"] == "invalid-arguments"
+        assert json.loads(err) == {"error": "invalid-arguments", "message": "unknown vertex: '9'"}
 
     def test_disconnected_word(self, capsys, word_file):
         path = word_file("a a b b\n")
@@ -338,6 +383,17 @@ class TestBench:
         assert json.loads(err)["error"] == "invalid-arguments"
         assert not out_csv.exists()
 
+    def test_inverted_range_is_domain_error(self, capsys, tmp_path):
+        out_csv = tmp_path / "bench.csv"
+        code, out, err = run(
+            capsys, "bench", "--family", "path", "--n-range", "5:3", "--csv", str(out_csv)
+        )
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "invalid-arguments"
+        assert not out_csv.exists()
+
     def test_missing_output_directory_is_io_error(self, capsys, tmp_path):
         out_csv = tmp_path / "missing" / "bench.csv"
         code, out, err = run(
@@ -425,3 +481,28 @@ class TestHashSeeds:
                 assert (fresh.returncode, fresh.stderr) == (0, b"")
                 outs.add(fresh.stdout)
             assert len(outs) == 1
+
+
+class TestFailClosed:
+    """Any word file ends in output and exit 0, or in exit 1 and one JSON
+    error line; never in a traceback."""
+
+    @given(word_files_and_commands())
+    @settings(suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+    def test_any_word_file_fails_closed(self, tmp_path, case):
+        data, (name, *options) = case
+        path = tmp_path / "word.txt"
+        path.write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run_cli([name, str(path), *options])
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1), (code, err)
+        if code == 0:
+            assert err == ""
+            if "dot" not in options:
+                json.loads(out)
+        else:
+            assert out == ""
+            assert err.endswith("\n") and err.count("\n") == 1
+            assert set(json.loads(err)) == {"error", "message"}

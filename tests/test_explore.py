@@ -1,9 +1,8 @@
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import wordgraph
-from test_lemmas_reference import edges_at
+from references import reference_oracle, words
 from wordgraph import explore
 from wordgraph.explore import (
     OracleBudgetError,
@@ -19,41 +18,8 @@ from wordgraph.temporal import build_temporal
 from wordgraph.words import Symbol, Word, power
 
 
-def syms(*tokens):
-    return [Symbol(t) for t in tokens]
-
-
 def step(u, v, t):
     return ((Symbol(u), Symbol(v)), t)
-
-
-def words(max_size=30, sigma=5, min_size=1):
-    alphabet = st.sampled_from(syms(*"abcdefgh"[:sigma]))
-    return st.lists(alphabet, min_size=min_size, max_size=max_size).map(
-        lambda items: Word(tuple(items))
-    )
-
-
-def brute_min_exploration(tg, start):
-    # exhaustive search over all temporal walks, for tiny instances only
-    n = len(tg.base.vertices)
-    best = None
-
-    def recurse(vertex, visited, now):
-        nonlocal best
-        if len(visited) == n:
-            best = now if best is None else min(best, now)
-            return
-        if best is not None and now >= best:
-            return
-        for t in range(now + 1, tg.lifetime + 1):
-            for u, v in edges_at(tg, t):
-                if vertex in (u, v):
-                    nxt = v if vertex == u else u
-                    recurse(nxt, visited | {nxt}, t)
-
-    recurse(start, frozenset({start}), 0)
-    return best
 
 
 class TestScheduleExplore:
@@ -245,7 +211,7 @@ class TestOracle:
             return
         start = tg.base.vertices[0]
         result = oracle_explore(tg, start)
-        assert result.length == brute_min_exploration(tg, start)
+        assert result.length == reference_oracle(tg, start)[0]
         if result.feasible and result.schedule.steps:
             assert validate_schedule(tg, result.schedule) is None
 

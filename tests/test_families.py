@@ -2,15 +2,17 @@ import json
 
 import pytest
 
+from references import layered_edge_oracle, path_edges, predicted_path_timesteps
 from wordgraph import cli
 from wordgraph.cli import run_cli
 from wordgraph.families import layered_word, path_word
-from wordgraph.graphs import Edge, build_graph, diameter, make_edge
+from wordgraph.graphs import build_graph, diameter
 from wordgraph.temporal import start_points
 from wordgraph.words import Symbol, power
 
 # Closed forms for the family words, written independently of the
-# generators; the tests below hold them against the generated words.
+# generators; the tests below hold them, and those in ``references``,
+# against the generated words.
 
 
 class OutOfFormulaRangeError(ValueError):
@@ -39,51 +41,6 @@ def predicted_symbol_at(n: int, k: int, pos: int) -> Symbol:
     return Symbol(str(value))
 
 
-def predicted_path_timesteps(n: int, k: int) -> tuple[int, tuple[int, ...]]:
-    """Closed form for (lifetime, start points) of path_word(n)^k.
-
-    One copy yields t1 = floor((n+3)/2) factors; for even n this equals
-    floor((2n+5)/4) and every interior start follows 4i - 5. The last start
-    of a copy is 2n - 1 for even n but 2n for odd n, and the pattern repeats
-    with period 2n, giving lifetime k*(t1 - 1) + 1. Verified against the
-    greedy scan for every supported (n, k).
-    """
-    if n < 4:
-        raise ValueError(f"start-point closed form needs n >= 4, got {n}")
-    if k < 1:
-        raise ValueError(f"power must be >= 1, got {k}")
-    t1 = (n + 3) // 2
-    tail = [4 * i - 5 for i in range(2, t1 + 1)]
-    if n % 2:
-        tail[-1] -= 1
-    starts = [1]
-    for copy in range(k):
-        offset = 2 * copy * n
-        starts.extend(offset + s for s in tail)
-    lifetime = k * (t1 - 1) + 1
-    return lifetime, tuple(starts)
-
-
-def layered_edge_oracle(n: int, d: int) -> frozenset[Edge]:
-    """Expected edge set of the layered family: complete bipartite between
-    consecutive layers, nothing else."""
-    per_layer = n // d
-    edges: set[Edge] = set()
-    for layer in range(1, d):
-        for i in range(1, per_layer + 1):
-            for j in range(1, per_layer + 1):
-                edges.add(
-                    make_edge(Symbol(f"({i},{layer})"), Symbol(f"({j},{layer + 1})"))
-                )
-    return frozenset(edges)
-
-
-def path_edges(n):
-    return frozenset(
-        make_edge(Symbol(str(x)), Symbol(str(x + 1))) for x in range(1, n)
-    )
-
-
 class TestPathWord:
     @pytest.mark.parametrize(
         "n, expected",
@@ -104,7 +61,8 @@ class TestPathWord:
     def test_graph_is_exactly_the_path(self, n):
         word = path_word(n)
         assert len(word) == 2 * n
-        assert build_graph(word).edges == path_edges(n)
+        path = [str(x) for x in range(1, n + 1)]
+        assert build_graph(word).edges == path_edges(path)
 
     @pytest.mark.parametrize("n", range(3, 21))
     def test_occurrence_gaps(self, n):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from test_lemmas_reference import edges_at
+from references import edges_at
 from wordgraph.explore import Schedule, schedule_explore
 from wordgraph.formats import (
     ParseError,
@@ -21,8 +21,12 @@ from wordgraph.temporal import build_temporal
 from wordgraph.words import Symbol, Word
 
 
-def syms(*tokens):
-    return [Symbol(t) for t in tokens]
+def schedule_doc(step=(), **fields):
+    """A one-step schedule document with the given step and top-level fields
+    replaced."""
+    steps = [{"edge": ["1", "2"], "t": 1, **dict(step)}]
+    doc = {"start": "1", "steps": steps, "length": 1, "visited_all": True}
+    return json.dumps({**doc, **fields})
 
 
 class TestWordDocuments:
@@ -226,7 +230,23 @@ class TestScheduleDocuments:
         with pytest.raises(ParseError):
             parse_schedule(text)
 
-    @pytest.mark.parametrize("text", ["{", "[]", '{"start": "1"}'])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{",
+            "[]",
+            '{"start": "1"}',
+            # Well-formed JSON with one field of the wrong type or shape.
+            schedule_doc({"t": 1.9}),
+            schedule_doc({"t": True}),
+            schedule_doc({"t": "3"}, length=3),
+            schedule_doc({"edge": ["1", "2", "3"]}),
+            schedule_doc({"edge": "ab"}),
+            schedule_doc(steps=[], length=0.5),
+            schedule_doc(visited_all="no"),
+            schedule_doc(visited_all=0),
+        ],
+    )
     def test_malformed_documents_rejected(self, text):
         with pytest.raises(ParseError):
             parse_schedule(text)

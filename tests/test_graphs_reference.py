@@ -1,30 +1,27 @@
-"""The alternation graph against a slow reference.
+"""The alternation graph, connectivity and the diameter against the slow
+references of ``references``.
 
-``reference_alternating`` merges two occurrence runs position by position
-and fails at the first two consecutive positions from the same run.
 ``build_graph`` decides each pair from the run lengths and two slice
-comparisons instead, so its edge set must equal the one the merge gives, on
-the corpus, on every short word, on family powers, and on powers of
-permutation blocks, where a pair that alternates does so along the whole
-word. The reference tests every pair of letters, while ``build_graph``
-tests only candidate pairs, those whose later symbol first occurs before
-the earlier one's second occurrence, so the two agreeing also shows that no
-other pair alternates.
+comparisons, so its edge set must equal ``reference_edges``, the pairs
+whose projection alternates, on the corpus, on every short word, on family
+powers, and on powers of permutation blocks, where a pair that alternates
+does so along the whole word. The reference tests every pair of letters,
+while ``build_graph`` tests only candidate pairs, those whose later symbol
+first occurs before the earlier one's second occurrence, so the two
+agreeing also shows that no other pair alternates.
 
 ``is_connected`` is decided once per graph and answers False without a
-search below n - 1 edges; ``reference_connected`` grows the reached set
-over the edge list until it stops growing, with no adjacency, cache or edge
-count, and the two must agree on the corpus and on hand-built graphs at and
-around that edge count.
+search below n - 1 edges. It must agree with ``reference_connected`` on the
+corpus and on hand-built graphs at and around that edge count.
 
 ``diameter`` is decided once per graph. On a tree it takes one search,
 from the far vertex the connectivity search reached last, and otherwise
 one search per class of vertices with equal open or closed neighbourhoods
-(``neighbourhood_classes``), never the all-pairs distances.
-``reference_diameter`` relaxes the edge list from every vertex, and the two
-must agree on the corpus, on the same hand-built graphs, and on twin-rich
-graphs that are not trees: complete-word and layered powers, complete
-bipartite and multipartite graphs, and two cliques that share a vertex.
+(``neighbourhood_classes``), never the all-pairs distances. It must agree
+with ``reference_diameter`` on the corpus, on the same hand-built graphs,
+and on twin-rich graphs that are not trees: complete-word and layered
+powers, complete bipartite and multipartite graphs, and two cliques that
+share a vertex.
 """
 
 import random
@@ -32,9 +29,16 @@ from itertools import combinations
 
 import pytest
 
-from test_acceptance import corpus_words, family_instances, short_words
-from test_lemmas_reference import exhaustive_words
 import wordgraph.graphs as graphs
+from references import (
+    corpus_words,
+    exhaustive_words,
+    family_instances,
+    reference_connected,
+    reference_diameter,
+    reference_edges,
+    short_words,
+)
 from wordgraph.explore import exploration_bound, schedule_explore
 from wordgraph.families import layered_word, path_word
 from wordgraph.graphs import (
@@ -47,31 +51,6 @@ from wordgraph.graphs import (
 from wordgraph.lemmas import run_all
 from wordgraph.temporal import build_temporal
 from wordgraph.words import Symbol, Word, power
-
-
-def reference_alternating(px, py):
-    i = j = 0
-    last_was_x = None
-    while i < len(px) or j < len(py):
-        take_x = j == len(py) or (i < len(px) and px[i] < py[j])
-        if take_x == last_was_x:
-            return False
-        last_was_x = take_x
-        if take_x:
-            i += 1
-        else:
-            j += 1
-    return True
-
-
-def assert_matches_reference(word):
-    occurrences = word.occurrences
-    expected = {
-        (x, y)
-        for x, y in combinations(sorted(word.alphabet), 2)
-        if reference_alternating(occurrences[x], occurrences[y])
-    }
-    assert build_graph(word).edges == expected
 
 
 def permutation_block_words(rng, count):
@@ -88,13 +67,13 @@ def permutation_block_words(rng, count):
 
 def test_corpus_words():
     for word in corpus_words() + short_words(2000, seed=17):
-        assert_matches_reference(word)
+        assert build_graph(word).edges == reference_edges(word)
 
 
 @pytest.mark.parametrize("sigma, max_length", [(2, 10), (3, 8), (4, 6)])
 def test_exhaustive_words(sigma, max_length):
     for word in exhaustive_words(sigma, max_length):
-        assert_matches_reference(word)
+        assert build_graph(word).edges == reference_edges(word)
 
 
 def test_family_powers():
@@ -106,26 +85,14 @@ def test_family_powers():
         for k in (1, 2, n)
     ]
     for word in words:
-        assert_matches_reference(word)
+        assert build_graph(word).edges == reference_edges(word)
 
 
 def test_permutation_block_powers():
     words = permutation_block_words(random.Random(7), 400)
     words += [Word.from_tokens([f"k{v}" for v in range(n)] * n) for n in range(1, 13)]
     for word in words:
-        assert_matches_reference(word)
-
-
-def reference_connected(graph):
-    reached = {graph.vertices[0]}
-    grew = True
-    while grew:
-        grew = False
-        for u, v in graph.edges:
-            if (u in reached) != (v in reached):
-                reached |= {u, v}
-                grew = True
-    return len(reached) == len(graph.vertices)
+        assert build_graph(word).edges == reference_edges(word)
 
 
 def connectivity_probes(rng, count):
@@ -172,28 +139,6 @@ def test_is_connected_on_built_graphs():
     )
     for graph in probes:
         assert is_connected(graph) == reference_connected(graph)
-
-
-def reference_diameter(graph):
-    """Largest pairwise distance by relaxing every edge until no distance
-    shrinks, from every vertex; None on a disconnected graph."""
-    n = len(graph.vertices)
-    longest = 0
-    for source in graph.vertices:
-        dist = {v: n for v in graph.vertices}
-        dist[source] = 0
-        changed = True
-        while changed:
-            changed = False
-            for u, v in graph.edges:
-                for a, b in ((u, v), (v, u)):
-                    if dist[a] + 1 < dist[b]:
-                        dist[b] = dist[a] + 1
-                        changed = True
-        if max(dist.values()) == n:
-            return None
-        longest = max(longest, *dist.values())
-    return longest
 
 
 def assert_diameter_matches_reference(graph):

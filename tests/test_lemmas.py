@@ -2,8 +2,8 @@ import itertools
 
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
+from references import syms, words
 from wordgraph.lemmas import (
     CHECKS,
     LemmaReport,
@@ -15,22 +15,11 @@ from wordgraph.lemmas import (
     run_all,
 )
 from wordgraph.temporal import build_temporal
-from wordgraph.words import Symbol, Word, power
-
-
-def syms(*tokens):
-    return [Symbol(t) for t in tokens]
+from wordgraph.words import Word, power
 
 
 def tg_of(text):
     return build_temporal(Word.from_chars(text))
-
-
-def words(max_size=40, sigma=6, min_size=1):
-    alphabet = st.sampled_from(syms(*"abcdefgh"[:sigma]))
-    return st.lists(alphabet, min_size=min_size, max_size=max_size).map(
-        lambda items: Word(tuple(items))
-    )
 
 
 class TestLetterRecurrence:
@@ -147,7 +136,7 @@ class TestRunAll:
         second = run_all(tg_of("abacabadcba"))
         assert first == second
 
-    @given(words())
+    @given(words(max_size=40, sigma=6))
     def test_random_words_never_violate(self, w):
         for report in run_all(build_temporal(w)):
             assert report.passed, (str(w), report)

@@ -1,15 +1,14 @@
 """Derived timestep activity against slow per-timestep references.
 
-``ReferenceActivity`` builds every timestep's letter set and edge set
-explicitly: factor t's letters, and every base edge with an endpoint among
-them. The window checkers below scan those sets window by window, and the
-activity queries scan them timestep by timestep. The library derives the same
-facts from per-vertex letter times, so ``check_letter_recurrence``,
+``ReferenceActivity`` (in ``references``) builds every timestep's letter
+set and edge set explicitly: factor t's letters, and every base edge with an
+endpoint among them. Its window checkers scan those sets window by window,
+and its activity queries scan them timestep by timestep. The library derives
+the same facts from per-vertex letter times, so ``check_letter_recurrence``,
 ``check_edge_recurrence``, ``check_union_windows``, ``always_connected``,
 ``next_activation``, ``is_edge_active`` and the temporal JSON must agree
-with them exactly, witnesses and their order included. ``edges_at`` derives
-one timestep's edge set from ``factor_bounds``, for tests that scan
-timesteps. ``per_edge_temporal_json`` renders the temporal JSON edge by edge
+with them exactly, witnesses and their order included, and each timestep's
+edges must equal ``edges_at``. ``per_edge_temporal_json`` renders the temporal JSON edge by edge
 from activation times; the library renders each distinct factor once, and
 the two must agree byte for byte.
 ``reference_interleaving`` walks every vertex pair rank by rank and
@@ -28,14 +27,22 @@ word's own graph. The word sets do not reach the union fallback of
 """
 
 import itertools
-import json
 import random
 from collections import Counter, deque
 from json.encoder import encode_basestring_ascii
 
 import pytest
 
-from test_acceptance import corpus_words, family_instances, short_words
+from references import (
+    ReferenceActivity,
+    corpus_words,
+    edges_at,
+    exhaustive_words,
+    family_instances,
+    reference_interleaving,
+    reference_occurrence_balance,
+    short_words,
+)
 from wordgraph.formats import _graph_json, _json_list, emit_graph
 from wordgraph.graphs import StaticGraph, _bfs_distances, is_connected, make_edge
 from wordgraph.lemmas import (
@@ -44,7 +51,6 @@ from wordgraph.lemmas import (
     LETTER_RECURRENCE,
     OCCURRENCE_BALANCE,
     UNION_WINDOWS,
-    LemmaReport,
     check_edge_recurrence,
     check_interleaving,
     check_letter_recurrence,
@@ -65,176 +71,6 @@ WITNESS_KINDS = {
     "occurrence-balance",
     "interleaving",
 }
-
-
-def edges_at(tg, t):
-    """The edge set of timestep ``t``: every base edge incident to a letter
-    of factor t."""
-    lo, hi = tg.factor_bounds[t - 1]
-    adjacency = tg.base.adjacency
-    return frozenset(
-        make_edge(sym, nb) for sym in tg.word.symbols[lo - 1 : hi] for nb in adjacency[sym]
-    )
-
-
-class ReferenceActivity:
-    """Per-timestep letter sets and edge sets of a temporal graph."""
-
-    def __init__(self, tg):
-        starts = tg.start_points
-        ends = tuple(s - 1 for s in starts[1:]) + (len(tg.word),)
-        adjacency = tg.base.adjacency
-        self.tg = tg
-        self.letters = []
-        self.active = []
-        for lo, hi in zip(starts, ends):
-            factor = frozenset(tg.word.symbols[lo - 1 : hi])
-            self.letters.append(factor)
-            self.active.append(
-                frozenset(make_edge(sym, nb) for sym in factor for nb in adjacency[sym])
-            )
-
-    def always_connected(self):
-        verts = self.tg.base.vertices
-        n = len(verts)
-        if n == 1:
-            return True
-        for edges in self.active:
-            adjacency = {}
-            for u, v in edges:
-                adjacency.setdefault(u, []).append(v)
-                adjacency.setdefault(v, []).append(u)
-            reached = {verts[0]}
-            queue = deque([verts[0]])
-            while queue:
-                v = queue.popleft()
-                for u in adjacency.get(v, ()):
-                    if u not in reached:
-                        reached.add(u)
-                        queue.append(u)
-            if len(reached) != n:
-                return False
-        return True
-
-    def next_activation(self, e, t):
-        return next(
-            (s for s in range(t + 1, self.tg.lifetime + 1) if e in self.active[s - 1]),
-            None,
-        )
-
-    def is_edge_active(self, e, t):
-        if not 1 <= t <= self.tg.lifetime:
-            raise ValueError(f"timestep {t} outside [1, {self.tg.lifetime}]")
-        if e not in self.tg.base.edges:
-            raise ValueError(f"not an underlying edge: {e!r}")
-        return e in self.active[t - 1]
-
-    def temporal_json(self):
-        tg = self.tg
-        doc = {
-            "vertices": sorted(v.token for v in tg.base.vertices),
-            "edges": [[u.token, v.token] for u, v in sorted(tg.base.edges)],
-            "start_points": list(tg.start_points),
-            "timesteps": [
-                {
-                    "range": [lo, hi],
-                    "letters": sorted(sym.token for sym in self.letters[t]),
-                    "edges": [[u.token, v.token] for u, v in sorted(self.active[t])],
-                }
-                for t, (lo, hi) in enumerate(tg.factor_bounds)
-            ],
-        }
-        return json.dumps(doc, indent=2) + "\n"
-
-    def letter_recurrence(self):
-        tg = self.tg
-        if not self.always_connected():
-            return LemmaReport(
-                LETTER_RECURRENCE, False, True, (), "not connected in every timestep"
-            )
-        lifetime = tg.lifetime
-        violations = []
-        unfit = []
-        for v in tg.base.vertices:
-            span = len(tg.base.adjacency[v]) + 1
-            if lifetime - span + 1 < 1:
-                unfit.append(v.token)
-                continue
-            for t in range(1, lifetime - span + 2):
-                if all(v not in self.letters[s] for s in range(t - 1, t - 1 + span)):
-                    violations.append((v.token, t))
-        notes = ""
-        if unfit:
-            notes = "windows exceed the lifetime for: " + ", ".join(sorted(unfit))
-        return LemmaReport(LETTER_RECURRENCE, True, not violations, tuple(violations), notes)
-
-    def edge_recurrence(self):
-        tg = self.tg
-        if not self.always_connected():
-            return LemmaReport(
-                EDGE_RECURRENCE, False, True, (), "not connected in every timestep"
-            )
-        lifetime = tg.lifetime
-        if not tg.base.edges:
-            return LemmaReport(EDGE_RECURRENCE, True, True, (), "no edges to check")
-        delta = min(len(tg.base.adjacency[v]) for v in tg.base.vertices)
-        violations = []
-        any_window = False
-        for u, v in sorted(tg.base.edges):
-            local = min(len(tg.base.adjacency[u]), len(tg.base.adjacency[v]))
-            for kind, gap in (("delta-window", delta), ("min-degree-window", local)):
-                for t in range(1, lifetime - gap + 1):
-                    any_window = True
-                    if all((u, v) not in self.active[s] for s in range(t - 1, t + gap)):
-                        violations.append((kind, u.token, v.token, t))
-        notes = "" if any_window else "no window fits inside the lifetime"
-        return LemmaReport(EDGE_RECURRENCE, True, not violations, tuple(violations), notes)
-
-    def union_windows(self):
-        tg = self.tg
-        if not is_connected(tg.base):
-            return LemmaReport(
-                UNION_WINDOWS, False, True, (), "underlying graph is disconnected"
-            )
-        graph = tg.base
-        lifetime = tg.lifetime
-        dia = max(max(_bfs_distances(graph, v).values()) for v in graph.vertices)
-        edges = graph.edges
-        active = self.active
-        violations = []
-        skipped = []
-        if dia <= lifetime:
-            seen = frozenset().union(*active[:dia]) if dia else frozenset()
-            for u, v in sorted(edges - seen):
-                violations.append(("first-window", u.token, v.token))
-        else:
-            skipped.append("first-window")
-        if lifetime - dia - 1 >= 1:
-            for t in range(1, lifetime - dia):
-                for u, v in sorted(active[t - 1]):
-                    if all((u, v) not in active[s] for s in range(t, t + dia + 1)):
-                        violations.append(("reactivation", u.token, v.token, t))
-        else:
-            skipped.append("reactivation")
-        if lifetime - dia >= 1:
-            for t in range(1, lifetime - dia + 1):
-                window = frozenset().union(*active[t - 1 : t + dia])
-                for u, v in sorted(edges - window):
-                    violations.append(("window-union", t, u.token, v.token))
-        else:
-            skipped.append("window-union")
-        if len(skipped) == 3:
-            return LemmaReport(
-                UNION_WINDOWS,
-                False,
-                True,
-                (),
-                f"diameter {dia} exceeds lifetime {lifetime}: no window fits",
-            )
-        notes = ""
-        if skipped:
-            notes = "skipped (window does not fit): " + ", ".join(skipped)
-        return LemmaReport(UNION_WINDOWS, True, not violations, tuple(violations), notes)
 
 
 def per_edge_temporal_json(tg):
@@ -261,50 +97,6 @@ def per_edge_temporal_json(tg):
         tg.base,
         f',\n  "start_points": {starts},\n  "timesteps": {_json_list(timesteps, 2)}',
     )
-
-
-def reference_interleaving(tg):
-    """Every rank i of y's occurrences lies between x's ranks i - d' and
-    i + d', out-of-range ranks meaning -inf and +inf."""
-    if not is_connected(tg.base):
-        return LemmaReport(INTERLEAVING, False, True, (), "underlying graph is disconnected")
-    distances = tg.base.distances
-    occurrences = tg.word.occurrences
-    violations = []
-    for x in tg.base.vertices:
-        chi = occurrences[x]
-
-        def chi_at(rank):
-            if rank < 1:
-                return float("-inf")
-            if rank > len(chi):
-                return float("inf")
-            return chi[rank - 1]
-
-        for y in tg.base.vertices:
-            if x == y:
-                continue
-            spread = distances[x][y]
-            for i, position in enumerate(occurrences[y], start=1):
-                if not chi_at(i - spread) <= position <= chi_at(i + spread):
-                    violations.append((x.token, y.token, i))
-    return LemmaReport(INTERLEAVING, True, not violations, tuple(violations))
-
-
-def reference_occurrence_balance(tg):
-    """Every pair's occurrence counts differ by at most their distance."""
-    if not is_connected(tg.base):
-        return LemmaReport(
-            OCCURRENCE_BALANCE, False, True, (), "underlying graph is disconnected"
-        )
-    distances = tg.base.distances
-    counts = {v: len(tg.word.occurrences[v]) for v in tg.base.vertices}
-    violations = [
-        (x.token, y.token, counts[x], counts[y], distances[x][y])
-        for x, y in itertools.combinations(tg.base.vertices, 2)
-        if abs(counts[x] - counts[y]) > distances[x][y]
-    ]
-    return LemmaReport(OCCURRENCE_BALANCE, True, not violations, tuple(violations))
 
 
 def witness_kinds(report):
@@ -338,13 +130,6 @@ def assert_matches_reference(tg):
             assert is_edge_active(tg, e, t) is ref.is_edge_active(e, t)
     assert emit_graph(tg) == ref.temporal_json()
     return set().union(*(witness_kinds(report) for report, _ in reports))
-
-
-def exhaustive_words(sigma, max_length):
-    alphabet = [Symbol(str(i)) for i in range(1, sigma + 1)]
-    for length in range(1, max_length + 1):
-        for symbols in itertools.product(alphabet, repeat=length):
-            yield Word(symbols)
 
 
 def test_random_words():

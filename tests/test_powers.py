@@ -5,54 +5,30 @@
 and y alternate in u^k (k >= 2) exactly when they alternate in u and occur
 equally often there. ``start_points`` scans a power one copy at a time and,
 once the open factor enters two copies at the same offset, repeats the
-starts found between them. Here the period must equal the shortest divisor
-of the length that the word repeats with, the graph must equal the
-pairwise-alternation scan of the full word, and the starts the plain greedy
-scan, on random powers, non-primitive roots, every family instance and the
-corpus.
+starts found between them. Here the period must equal
+``reference_period``, the shortest divisor of the length that the word
+repeats with; the graph ``reference_edges``, the pairwise-alternation scan
+of the full word; and the starts ``reference_start_points``, the plain
+greedy scan. They are compared on random powers, non-primitive roots, every
+family instance and the corpus.
 """
 
 import random
-from itertools import combinations
 
 import pytest
 
-from test_acceptance import corpus_words, family_instances
-from test_graphs_reference import reference_alternating
 import wordgraph.temporal as temporal
+from references import (
+    corpus_words,
+    family_instances,
+    reference_edges,
+    reference_period,
+    reference_start_points,
+)
 from wordgraph.families import layered_word, path_word
 from wordgraph.graphs import build_graph
 from wordgraph.temporal import start_points
 from wordgraph.words import Symbol, Word, power
-
-
-def reference_period(word):
-    n = len(word)
-    return next(
-        (p for p in range(1, n) if n % p == 0 and word.symbols[:p] * (n // p) == word.symbols),
-        n,
-    )
-
-
-def reference_start_points(word):
-    starts, factor = [1], set()
-    for pos, sym in enumerate(word.symbols, start=1):
-        if sym in factor:
-            starts.append(pos)
-            factor = set()
-        factor.add(sym)
-    return tuple(starts)
-
-
-def reference_edges(word):
-    runs = {sym: [] for sym in word.symbols}
-    for pos, sym in enumerate(word.symbols, start=1):
-        runs[sym].append(pos)
-    return {
-        (x, y)
-        for x, y in combinations(sorted(runs), 2)
-        if reference_alternating(runs[x], runs[y])
-    }
 
 
 def assert_matches_references(word):

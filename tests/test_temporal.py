@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from test_lemmas_reference import edges_at
-from wordgraph.graphs import build_graph, make_edge
+from references import edges_at, words
+from wordgraph.graphs import build_graph
 from wordgraph.temporal import (
     build_temporal,
     is_edge_active,
@@ -13,27 +13,12 @@ from wordgraph.temporal import (
 from wordgraph.words import Symbol, Word
 
 
-def syms(*tokens):
-    return [Symbol(t) for t in tokens]
-
-
-def edge(u, v):
-    return make_edge(Symbol(u), Symbol(v))
-
-
 def factors(tg):
     return [" ".join(tg.word.symbols[lo - 1 : hi]) for lo, hi in tg.factor_bounds]
 
 
 def edge_tokens(edges):
     return {(u.token, v.token) for u, v in edges}
-
-
-def words(max_size=30, sigma=5, min_size=1):
-    alphabet = st.sampled_from(syms(*"abcdefgh"[:sigma]))
-    return st.lists(alphabet, min_size=min_size, max_size=max_size).map(
-        lambda items: Word(tuple(items))
-    )
 
 
 class TestStartPoints:

@@ -1,52 +1,12 @@
-from typing import Iterable
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from references import alternates, project, syms, words
 from wordgraph.words import Symbol, Word, power
 
-# Subsequence projection and alternation by their definitions, as references
-# for the tests here and for the alternation test of build_graph.
-
-
-def project(word: Word, symbols: Iterable[Symbol]) -> Word:
-    """Longest subsequence of ``word`` using only the given symbols.
-
-    ``symbols`` may include symbols that never occur; they simply select
-    nothing. The order of the kept positions is preserved.
-    """
-    keep = frozenset(symbols)
-    return Word(tuple(sym for sym in word.symbols if sym in keep))
-
-
-def alternates(word: Word, x: Symbol, y: Symbol) -> bool:
-    """True when ``x`` and ``y`` strictly alternate within ``word``.
-
-    Equivalent to: the projection onto {x, y} never repeats a symbol in two
-    adjacent positions. Projections of length 0 or 1 alternate trivially.
-    Implemented as a single scan over the word.
-    """
-    if x == y:
-        raise ValueError(f"alternation needs two distinct symbols, got {x!r} twice")
-    prev: Symbol | None = None
-    for sym in word.symbols:
-        if sym == x or sym == y:
-            if sym == prev:
-                return False
-            prev = sym
-    return True
-
-
-def syms(*tokens):
-    return [Symbol(t) for t in tokens]
-
-
-def words(max_size=40, sigma=5, min_size=0):
-    alphabet = st.sampled_from(syms(*"abcdefgh"[:sigma]))
-    return st.lists(alphabet, min_size=min_size, max_size=max_size).map(
-        lambda items: Word(tuple(items))
-    )
+# Words of up to 40 letters over a-e, the empty word included.
+any_words = words(max_size=40, min_size=0)
 
 
 class TestSymbol:
@@ -133,11 +93,11 @@ class TestProject:
         w = Word.from_chars("aba")
         assert project(w, syms("a", "z")) == Word.from_chars("aa")
 
-    @given(words())
+    @given(any_words)
     def test_projecting_onto_own_alphabet_is_identity(self, w):
         assert project(w, w.alphabet) == w
 
-    @given(words(), st.sets(st.sampled_from(syms(*"abcdefgh")), max_size=4))
+    @given(any_words, st.sets(st.sampled_from(syms(*"abcdefgh")), max_size=4))
     def test_length_is_sum_of_occurrence_counts(self, w, keep):
         projected = project(w, keep)
         assert len(projected) == sum(len(w.occurrences.get(x, ())) for x in keep)
@@ -161,13 +121,13 @@ class TestAlternates:
         with pytest.raises(ValueError):
             alternates(Word.from_chars("ab"), Symbol("a"), Symbol("a"))
 
-    @given(words(), st.sampled_from(syms(*"abcde")), st.sampled_from(syms(*"abcde")))
+    @given(any_words, st.sampled_from(syms(*"abcde")), st.sampled_from(syms(*"abcde")))
     def test_symmetry(self, w, x, y):
         if x == y:
             return
         assert alternates(w, x, y) == alternates(w, y, x)
 
-    @given(words(min_size=4, sigma=3), st.integers(min_value=1, max_value=4))
+    @given(words(max_size=40, sigma=3, min_size=4), st.integers(min_value=1, max_value=4))
     def test_false_is_preserved_under_powers(self, w, k):
         x, y = Symbol("a"), Symbol("b")
         both_twice = all(len(w.occurrences.get(s, ())) >= 2 for s in (x, y))
@@ -193,7 +153,7 @@ class TestPower:
         with pytest.raises(ValueError):
             power(Word.from_chars("ab"), k)
 
-    @given(words(min_size=1, max_size=12), st.integers(min_value=1, max_value=4))
+    @given(words(max_size=12), st.integers(min_value=1, max_value=4))
     def test_positional_formula_at_every_position(self, w, k):
         repeated = power(w, k)
         assert len(repeated) == k * len(w)
@@ -207,12 +167,12 @@ class TestOccurrenceIndices:
         assert Word.from_chars("acbacbab").occurrences[Symbol("a")] == (1, 4, 7)
         assert Symbol("c") not in Word.from_chars("ab").occurrences
 
-    @given(words())
+    @given(any_words)
     def test_keyed_in_first_occurrence_order(self, w):
         # build_graph bisects the first positions in key order.
         assert list(w.occurrences) == list(dict.fromkeys(w.symbols))
 
-    @given(words())
+    @given(any_words)
     def test_positions_strictly_increase_and_point_at_symbol(self, w):
         for sym in w.alphabet:
             positions = w.occurrences[sym]
