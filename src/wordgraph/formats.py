@@ -167,12 +167,15 @@ def _edge_field(value) -> tuple[Symbol, Symbol]:
 def parse_schedule(text: str) -> tuple[Schedule, bool]:
     """Inverse of emit_schedule. Validates the shape: ``t`` and ``length``
     are JSON integers, each ``edge`` is two strings and ``visited_all`` a
-    JSON boolean. Then checks the length field against the last step."""
+    JSON boolean. Then checks the length field against the last step. A
+    missing field is named in the error message."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc}") from exc
     try:
+        if not isinstance(doc, dict):
+            raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
         start = Symbol(doc["start"])
         steps = tuple(
             (_edge_field(step["edge"]), _int_field(step["t"], "t")) for step in doc["steps"]
@@ -181,8 +184,10 @@ def parse_schedule(text: str) -> tuple[Schedule, bool]:
         visited_all = doc["visited_all"]
         if not isinstance(visited_all, bool):
             raise TypeError(f"visited_all must be a JSON boolean, got {visited_all!r}")
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
-        raise ParseError(f"malformed schedule document: {exc!r}") from exc
+    except KeyError as exc:
+        raise ParseError(f"malformed schedule document: missing field {exc}") from exc
+    except (TypeError, IndexError, ValueError) as exc:
+        raise ParseError(f"malformed schedule document: {exc}") from exc
     schedule = Schedule(start, steps)
     if schedule.length != length:
         raise ParseError(

@@ -123,19 +123,13 @@ def build_graph(word: Word) -> StaticGraph:
     symbols alternate."""
     if len(word) == 0:
         raise ValueError("cannot build a graph from the empty word")
-    symbols = word.symbols
-    period = word._period
     # In a power u^k with k >= 2, x and y alternate exactly when they
     # alternate in u and occur equally often there: the projection
     # (u|xy)^k alternates only if u|xy ends on the letter it does not start
-    # with. So a power is read from one copy of its primitive root, without
-    # building that copy as a Word.
-    if period < len(symbols):
-        occurrences, slack = {}, 0
-        for pos, sym in enumerate(symbols[:period], start=1):
-            occurrences.setdefault(sym, []).append(pos)
-    else:
-        occurrences, slack = word.occurrences, 1
+    # with. So a power is read from the occurrences of one copy of its
+    # primitive root.
+    occurrences = word._root_occurrences
+    slack = 1 if word._period == len(word.symbols) else 0
     # ``occurrences`` is keyed in first-occurrence order. Symbols alternate
     # only if the later one first occurs before the earlier one's second
     # occurrence, so each symbol is paired only with the symbols whose first

@@ -87,8 +87,9 @@ class TemporalGraph:
     Activity is derived, never stored: timestep t (1-based) activates every
     edge of ``base`` with an endpoint among the letters of factor t. Every
     query goes through ``letter_times``, the timesteps at which each vertex
-    is a letter, or through the factor slices of the word. Immutable after
-    construction; all queries are read-only.
+    is a letter, or through the factor slices of the word, except
+    ``next_activation``, which reads the word's positions and the start
+    points. Immutable after construction; all queries are read-only.
     """
 
     word: Word
@@ -174,16 +175,36 @@ def next_activation(tg: TemporalGraph, e: tuple[Symbol, Symbol], t: int) -> int 
     """Smallest timestep strictly after ``t`` at which ``e`` is active.
 
     ``t`` may be 0, meaning "before time begins". Returns None when the edge
-    never activates again within the lifetime.
+    never activates again within the lifetime. Reads the occurrences of the
+    word's primitive root and the start points, never ``letter_times``, so
+    it holds for any start points, and a base vertex absent from the word
+    never activates.
     """
     if t < 0:
         raise ValueError(f"timestep cursor must be >= 0, got {t}")
     edge = make_edge(*e)
     if edge not in tg.base.edges:
         raise ValueError(f"not an underlying edge: {(str(e[0]), str(e[1]))}")
-    u_times, v_times = tg.letter_times[edge[0]], tg.letter_times[edge[1]]
-    i = bisect_right(u_times, t)
-    j = bisect_right(v_times, t)
-    if j == len(v_times) or i < len(u_times) and u_times[i] < v_times[j]:
-        return u_times[i] if i < len(u_times) else None
-    return v_times[j]
+    starts = tg.start_points
+    if t >= len(starts):
+        return None
+    # The next time v is a letter is the timestep that holds v's first
+    # occurrence at or after starts[t]. A power u^k is searched in the
+    # occurrences of one copy of u: the copy that holds starts[t], or the
+    # copy after it. ``first`` counts from the start of the copy that holds
+    # starts[t], and n + 1 stands for no occurrence.
+    word = tg.word
+    n = len(word.symbols)
+    period = word._period
+    roots = word._root_occurrences
+    copy, offset = divmod(starts[t] - 1, period)
+    first = n + 1
+    for v in edge:
+        positions = roots.get(v)
+        if positions:
+            i = bisect_right(positions, offset)
+            pos = positions[i] if i < len(positions) else period + positions[0]
+            if pos < first:
+                first = pos
+    first += copy * period
+    return bisect_right(starts, first) if first <= n else None

@@ -25,7 +25,10 @@ class cached:
     lock: the values are pure functions of immutable instances, so two
     threads that race to fill one store equal values. Writing ``__dict__``
     directly also works on frozen dataclasses, and leaves their ``==`` and
-    ``hash`` unchanged. ``func`` is the wrapped function.
+    ``hash`` unchanged. For the same reason a constructor that has already
+    computed a field's value may store it in ``__dict__`` under the field's
+    name, and the field is then never computed. ``func`` is the wrapped
+    function.
     """
 
     def __init__(self, func: Callable) -> None:
@@ -89,10 +92,23 @@ class Word:
 
     @classmethod
     def from_tokens(cls, tokens: Iterable[str]) -> "Word":
-        """Read a word from its tokens; equal tokens share one Symbol."""
+        """Read a word from its tokens; equal tokens share one Symbol.
+
+        A power u^k is read by its primitive root: only the tokens of u
+        become symbols, the word repeats them k times, and the root's
+        length is stored as the word's ``_period``.
+        """
         tokens = tuple(tokens)
-        symbols = {tok: Symbol(tok) for tok in dict.fromkeys(tokens)}
-        return cls(tuple(map(symbols.__getitem__, tokens)))
+        period = _period_of(tokens)
+        symbols = {tok: Symbol(tok) for tok in dict.fromkeys(tokens[:period])}
+        root = tuple(map(symbols.__getitem__, tokens[:period]))
+        # Every symbol was made just above, so the word skips the check of
+        # ``__post_init__``, which would test each position's type.
+        word = object.__new__(cls)
+        vars(word).update(
+            symbols=root * (len(tokens) // period) if period else (), _period=period
+        )
+        return word
 
     @classmethod
     def from_chars(cls, text: str) -> "Word":
@@ -117,29 +133,18 @@ class Word:
     def _period(self) -> int:
         """The length p of the primitive root u, the shortest word with
         ``self == u^k``: the length itself when the word is no proper power,
-        the empty word included.
+        the empty word included. See ``_period_of``."""
+        return _period_of(self.symbols)
 
-        The exponent k divides both the length n and the count of the first
-        symbol, so p = n / k is a multiple of n / gcd(n, count), and only
-        those multiples that divide n are tried, shortest first. The first
-        symbol must begin the second copy before the word is compared with
-        itself shifted by p. That test is by identity, which ``from_tokens``
-        makes exact; equal symbols that are distinct objects only cost a
-        proper power its shortcut.
-        """
-        symbols = self.symbols
-        n = len(symbols)
-        if n < 2:
-            return n
-        first = symbols[0]
-        g = gcd(n, symbols.count(first))
-        if g == 1:
-            return n
-        step = n // g
-        for p in range(step, n // 2 + 1, step):
-            if n % p == 0 and symbols[p] is first and symbols[p:] == symbols[:-p]:
-                return p
-        return n
+    @cached
+    def _root_occurrences(self) -> dict[Symbol, tuple[int, ...]]:
+        """``occurrences`` of one period, the root u of ``self == u^k``;
+        ``occurrences`` itself, the same object, when the word is no proper
+        power."""
+        period = self._period
+        if period == len(self.symbols):
+            return self.occurrences
+        return Word(self.symbols[:period]).occurrences
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -149,6 +154,31 @@ class Word:
 
     def __str__(self) -> str:
         return " ".join(self.symbols)
+
+
+def _period_of(seq: tuple[str, ...]) -> int:
+    """The length p of the shortest prefix that ``seq`` repeats, ``seq ==
+    seq[:p] * (len(seq) // p)``: ``len(seq)`` when it repeats none shorter.
+
+    The exponent k = n / p divides both the length n and the count of the
+    first item, so p is a multiple of n / gcd(n, count), and only those
+    multiples that divide n are tried, shortest first. The first item must
+    begin the second copy before the sequence is compared with itself
+    shifted by p. Items compare by ``==``, so tokens and symbols alike are
+    read by their root.
+    """
+    n = len(seq)
+    if n < 2:
+        return n
+    first = seq[0]
+    g = gcd(n, seq.count(first))
+    if g == 1:
+        return n
+    step = n // g
+    for p in range(step, n // 2 + 1, step):
+        if n % p == 0 and seq[p] == first and seq[p:] == seq[:-p]:
+            return p
+    return n
 
 
 def power(word: Word, k: int) -> Word:

@@ -13,7 +13,8 @@ from the definition rather than for speed:
   every vertex;
 - timestep activity: ``edges_at`` gives one timestep's edge set, and
   ``ReferenceActivity`` every timestep's letter and edge sets, with window
-  checkers that scan them;
+  checkers that scan them; ``assert_matches_reference`` compares every
+  derived query and checker of a temporal graph with them;
 - the pair lemmas: ``reference_interleaving`` walks every vertex pair rank by
   rank, and ``reference_occurrence_balance`` compares every pair's counts;
 - the exact optimum: ``reference_oracle`` is plain Dijkstra over concrete
@@ -35,6 +36,7 @@ from collections import deque
 
 from hypothesis import strategies as st
 
+from wordgraph.formats import emit_graph
 from wordgraph.graphs import Edge, _bfs_distances, is_connected, make_edge
 from wordgraph.lemmas import (
     EDGE_RECURRENCE,
@@ -43,8 +45,14 @@ from wordgraph.lemmas import (
     OCCURRENCE_BALANCE,
     UNION_WINDOWS,
     LemmaReport,
+    check_edge_recurrence,
+    check_interleaving,
+    check_letter_recurrence,
+    check_occurrence_balance,
+    check_union_windows,
 )
 from wordgraph.families import layered_word, path_word
+from wordgraph.temporal import is_edge_active, next_activation
 from wordgraph.words import Symbol, Word, power
 
 REFERENCE_TEMPORAL_WORD = "abacbdcedfegfhg"
@@ -481,6 +489,47 @@ def reference_occurrence_balance(tg):
         if abs(counts[x] - counts[y]) > distances[x][y]
     ]
     return LemmaReport(OCCURRENCE_BALANCE, True, not violations, tuple(violations))
+
+
+def witness_kinds(report):
+    # letter-recurrence, occurrence-balance and interleaving witnesses start
+    # with a token, not a kind
+    if report.lemma_id in (LETTER_RECURRENCE, OCCURRENCE_BALANCE, INTERLEAVING):
+        return {report.lemma_id} if report.violations else set()
+    return {witness[0] for witness in report.violations}
+
+
+def assert_matches_reference(tg):
+    """Compare every derived query with the reference; return the witness
+    kinds the checkers reported."""
+    ref = ReferenceActivity(tg)
+    assert tg.always_connected == ref.always_connected()
+    reports = [
+        (check_letter_recurrence(tg), ref.letter_recurrence()),
+        (check_edge_recurrence(tg), ref.edge_recurrence()),
+        (check_union_windows(tg), ref.union_windows()),
+        (check_occurrence_balance(tg), reference_occurrence_balance(tg)),
+        (check_interleaving(tg), reference_interleaving(tg)),
+    ]
+    for report, expected in reports:
+        assert report == expected, (str(tg.word), tg.start_points)
+    for t in range(1, tg.lifetime + 1):
+        assert edges_at(tg, t) == ref.active[t - 1]
+    for e in tg.base.edges:
+        for t in range(tg.lifetime + 1):
+            assert next_activation(tg, e, t) == ref.next_activation(e, t)
+        for t in range(1, tg.lifetime + 1):
+            assert is_edge_active(tg, e, t) is ref.is_edge_active(e, t)
+    assert emit_graph(tg) == ref.temporal_json()
+    return set().union(*(witness_kinds(report) for report, _ in reports))
+
+
+def random_start_points(rng, length):
+    """A random set of start points for a word of ``length`` symbols: 1 and
+    a random subset of the later positions, so a factor may repeat a
+    letter."""
+    later = rng.sample(range(2, length + 1), rng.randint(0, length - 1))
+    return (1, *sorted(later))
 
 
 def reference_oracle(tg, start):

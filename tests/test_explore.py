@@ -118,6 +118,21 @@ class TestValidateSchedule:
         result = schedule_explore(tg, Symbol("1"))
         assert validate_schedule(tg, result.schedule) is None
 
+    @pytest.mark.parametrize(
+        "word, start",
+        [(power(path_word(12), 12), "1"), (power(layered_word(12, 4), 12), "(1,1)")],
+        ids=["path", "layered"],
+    )
+    def test_scheduling_leaves_letter_times_unfilled(self, word, start):
+        # next_activation reads the word's root occurrences and the start
+        # points, so neither the scheduler nor the checker fills the
+        # per-vertex letter times.
+        tg = build_temporal(word)
+        result = schedule_explore(tg, Symbol(start))
+        assert result.visited_all
+        assert validate_schedule(tg, result.schedule) is None
+        assert "letter_times" not in tg.__dict__
+
     def test_non_increasing_timesteps(self):
         tg = build_temporal(Word.from_chars("121323"))
         bad = Schedule(Symbol("1"), (step("1", "2", 1), step("2", "3", 1)))

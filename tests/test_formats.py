@@ -29,6 +29,36 @@ def schedule_doc(step=(), **fields):
     return json.dumps({**doc, **fields})
 
 
+# Each malformed schedule document, with the start of its error message; the
+# JSON decoder's own wording follows "not valid JSON: ".
+MALFORMED_SCHEDULES = {
+    "{": "not valid JSON: ",
+    "[]": "malformed schedule document: expected a JSON object, got list",
+    '{"start": "1"}': "malformed schedule document: missing field 'steps'",
+    # Well-formed JSON with one field of the wrong type or shape.
+    schedule_doc({"t": 1.9}): "malformed schedule document: t must be a JSON integer, got 1.9",
+    schedule_doc({"t": True}): "malformed schedule document: t must be a JSON integer, got True",
+    schedule_doc({"t": "3"}, length=3): (
+        "malformed schedule document: t must be a JSON integer, got '3'"
+    ),
+    schedule_doc({"edge": ["1", "2", "3"]}): (
+        "malformed schedule document: edge must be a list of two strings, got ['1', '2', '3']"
+    ),
+    schedule_doc({"edge": "ab"}): (
+        "malformed schedule document: edge must be a list of two strings, got 'ab'"
+    ),
+    schedule_doc(steps=[], length=0.5): (
+        "malformed schedule document: length must be a JSON integer, got 0.5"
+    ),
+    schedule_doc(visited_all="no"): (
+        "malformed schedule document: visited_all must be a JSON boolean, got 'no'"
+    ),
+    schedule_doc(visited_all=0): (
+        "malformed schedule document: visited_all must be a JSON boolean, got 0"
+    ),
+}
+
+
 class TestWordDocuments:
     def test_parse_tokens(self):
         word = parse_word_file("a b a c b d c e d f e g f h g\n")
@@ -230,26 +260,13 @@ class TestScheduleDocuments:
         with pytest.raises(ParseError):
             parse_schedule(text)
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "{",
-            "[]",
-            '{"start": "1"}',
-            # Well-formed JSON with one field of the wrong type or shape.
-            schedule_doc({"t": 1.9}),
-            schedule_doc({"t": True}),
-            schedule_doc({"t": "3"}, length=3),
-            schedule_doc({"edge": ["1", "2", "3"]}),
-            schedule_doc({"edge": "ab"}),
-            schedule_doc(steps=[], length=0.5),
-            schedule_doc(visited_all="no"),
-            schedule_doc(visited_all=0),
-        ],
-    )
+    @pytest.mark.parametrize("text", MALFORMED_SCHEDULES)
     def test_malformed_documents_rejected(self, text):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as info:
             parse_schedule(text)
+        message = str(info.value)
+        assert message.startswith(MALFORMED_SCHEDULES[text])
+        assert "Error(" not in message
 
 
 class TestReportDocuments:

@@ -35,30 +35,19 @@ import pytest
 
 from references import (
     ReferenceActivity,
+    assert_matches_reference,
     corpus_words,
-    edges_at,
     exhaustive_words,
     family_instances,
+    random_start_points,
     reference_interleaving,
-    reference_occurrence_balance,
     short_words,
 )
 from wordgraph.formats import _graph_json, _json_list, emit_graph
 from wordgraph.graphs import StaticGraph, _bfs_distances, is_connected, make_edge
-from wordgraph.lemmas import (
-    EDGE_RECURRENCE,
-    INTERLEAVING,
-    LETTER_RECURRENCE,
-    OCCURRENCE_BALANCE,
-    UNION_WINDOWS,
-    check_edge_recurrence,
-    check_interleaving,
-    check_letter_recurrence,
-    check_occurrence_balance,
-    check_union_windows,
-)
+from wordgraph.lemmas import EDGE_RECURRENCE, UNION_WINDOWS, check_interleaving
 from wordgraph.families import layered_word, path_word
-from wordgraph.temporal import TemporalGraph, build_temporal, is_edge_active, next_activation
+from wordgraph.temporal import TemporalGraph, build_temporal
 from wordgraph.words import Symbol, Word, power
 
 WITNESS_KINDS = {
@@ -99,39 +88,6 @@ def per_edge_temporal_json(tg):
     )
 
 
-def witness_kinds(report):
-    # letter-recurrence, occurrence-balance and interleaving witnesses start
-    # with a token, not a kind
-    if report.lemma_id in (LETTER_RECURRENCE, OCCURRENCE_BALANCE, INTERLEAVING):
-        return {report.lemma_id} if report.violations else set()
-    return {witness[0] for witness in report.violations}
-
-
-def assert_matches_reference(tg):
-    """Compare every derived query with the reference; return the witness
-    kinds the checkers reported."""
-    ref = ReferenceActivity(tg)
-    assert tg.always_connected == ref.always_connected()
-    reports = [
-        (check_letter_recurrence(tg), ref.letter_recurrence()),
-        (check_edge_recurrence(tg), ref.edge_recurrence()),
-        (check_union_windows(tg), ref.union_windows()),
-        (check_occurrence_balance(tg), reference_occurrence_balance(tg)),
-        (check_interleaving(tg), reference_interleaving(tg)),
-    ]
-    for report, expected in reports:
-        assert report == expected, (str(tg.word), tg.start_points)
-    for t in range(1, tg.lifetime + 1):
-        assert edges_at(tg, t) == ref.active[t - 1]
-    for e in tg.base.edges:
-        for t in range(tg.lifetime + 1):
-            assert next_activation(tg, e, t) == ref.next_activation(e, t)
-        for t in range(1, tg.lifetime + 1):
-            assert is_edge_active(tg, e, t) is ref.is_edge_active(e, t)
-    assert emit_graph(tg) == ref.temporal_json()
-    return set().union(*(witness_kinds(report) for report, _ in reports))
-
-
 def test_random_words():
     for word in corpus_words(count=1000, seed=31) + short_words(1000, seed=31):
         assert not assert_matches_reference(build_temporal(word))
@@ -161,9 +117,8 @@ def test_family_words():
 def non_greedy_probes(rng, count):
     """Words paired with a random set of start points that begins at 1."""
     for word in short_words(count, seed=rng.random()):
-        later = rng.sample(range(2, len(word) + 1), rng.randint(0, len(word) - 1))
-        starts = [1] + sorted(later)
-        yield TemporalGraph(word, tuple(starts), build_temporal(word).base)
+        starts = random_start_points(rng, len(word))
+        yield TemporalGraph(word, starts, build_temporal(word).base)
 
 
 def foreign_base_probes(rng, count):

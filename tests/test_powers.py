@@ -1,6 +1,8 @@
 """Reading a power word by its primitive root.
 
-``Word._period`` is the length of the primitive root u of a word w = u^k.
+``Word._period`` is the length of the primitive root u of a word w = u^k,
+and ``Word._root_occurrences`` the occurrences of one copy of u:
+``occurrences`` itself when w is no proper power.
 ``build_graph`` tests the pairs of a proper power on one copy of u, where x
 and y alternate in u^k (k >= 2) exactly when they alternate in u and occur
 equally often there. ``start_points`` scans a power one copy at a time and,
@@ -11,6 +13,13 @@ repeats with; the graph ``reference_edges``, the pairwise-alternation scan
 of the full word; and the starts ``reference_start_points``, the plain
 greedy scan. They are compared on random powers, non-primitive roots, every
 family instance and the corpus.
+
+``Word.from_tokens``, and so ``parse_word_file``, reads the period on the
+tokens, makes symbols of one copy of the root only and stores the period.
+The parsed word must equal the word of one ``Symbol`` per token, share one
+``Symbol`` between equal tokens, and hold ``reference_period``. On parsed
+powers, ``next_activation``, which searches the root's occurrences, is
+compared at every timestep by ``assert_matches_reference``.
 """
 
 import random
@@ -19,20 +28,27 @@ import pytest
 
 import wordgraph.temporal as temporal
 from references import (
+    assert_matches_reference,
     corpus_words,
     family_instances,
+    permutation_power_words,
+    random_start_points,
     reference_edges,
     reference_period,
     reference_start_points,
 )
 from wordgraph.families import layered_word, path_word
+from wordgraph.formats import parse_word_file
 from wordgraph.graphs import build_graph
-from wordgraph.temporal import start_points
+from wordgraph.temporal import TemporalGraph, build_temporal, start_points
 from wordgraph.words import Symbol, Word, power
 
 
 def assert_matches_references(word):
     assert word._period == reference_period(word)
+    roots = word._root_occurrences
+    assert roots == Word(word.symbols[: word._period]).occurrences
+    assert (roots is word.occurrences) is (word._period == len(word))
     assert_scans_match_references(word)
 
 
@@ -71,11 +87,11 @@ def test_period_of_the_empty_word_is_its_length():
     assert Word()._period == 0
 
 
-def test_equal_symbols_that_are_distinct_objects_give_up_the_root():
-    # The boundary test is by identity: a power built from equal but
-    # distinct symbols is read in full, and its results do not change.
+def test_equal_symbols_that_are_distinct_objects_keep_the_root():
+    # The boundary test is by equality: a power built from equal but
+    # distinct symbols is read by its root.
     word = Word(tuple(Symbol(c) for c in "abababab"))
-    assert word._period == 8 and reference_period(word) == 2
+    assert word._period == 2 == reference_period(word)
     assert_scans_match_references(word)
 
 
@@ -166,3 +182,70 @@ def test_family_instances():
 def test_corpus_words():
     for word in corpus_words():
         assert_matches_references(word)
+
+
+def word_text(tokens):
+    """A word file, byte for byte as ``gen`` prints it."""
+    return " ".join(tokens) + "\n"
+
+
+def assert_root_parsed(tokens):
+    """The parsed word is the word of one fresh Symbol per token, equal
+    tokens share one Symbol, and the stored period is the reference's."""
+    for word in (parse_word_file(word_text(tokens)), Word.from_tokens(tokens)):
+        assert word == Word(tuple(Symbol(tok) for tok in tokens))
+        shared = {}
+        assert all(shared.setdefault(sym, sym) is sym for sym in word.symbols)
+        assert vars(word)["_period"] == reference_period(word)
+
+
+def tokens_of(word):
+    return [sym.token for sym in word.symbols]
+
+
+def random_power_tokens(rng, count):
+    """The tokens of random powers u^k, each u taken to k = 1..6."""
+    return [tokens_of(root) * k for root in random_powers(rng, count) for k in range(1, 7)]
+
+
+def test_root_parsed_random_powers():
+    for tokens in random_power_tokens(random.Random(13), 500):
+        assert_root_parsed(tokens)
+
+
+def test_root_parsed_family_and_permutation_powers():
+    words = family_instances() + permutation_power_words(200, seed=17)
+    for word in words:
+        assert_root_parsed(tokens_of(word))
+
+
+def test_root_parsed_corpus_words():
+    for word in corpus_words():
+        assert_root_parsed(tokens_of(word))
+
+
+def test_root_parsed_one_token():
+    assert_root_parsed(["x"])
+
+
+def test_root_parsed_tokens_that_are_distinct_objects():
+    # Equal tokens that are distinct str objects are read by their root.
+    tokens = ["".join(pair) for pair in ["ab", "cd", "ab", "ef"] * 6]
+    assert tokens[0] == tokens[2] and tokens[0] is not tokens[2]
+    assert_root_parsed(tokens)
+    assert Word.from_tokens(tokens)._period == 4
+
+
+def test_root_parsed_powers_match_activity_references():
+    # ``assert_matches_reference`` checks ``next_activation`` at every
+    # timestep, on the greedy start points and on random ones.
+    rng = random.Random(19)
+    tokens_lists = random_power_tokens(rng, 40)
+    tokens_lists += [tokens_of(path_word(n)) * n for n in (3, 5, 8)]
+    tokens_lists += [tokens_of(layered_word(6, 3)) * 3]
+    tokens_lists += map(tokens_of, permutation_power_words(10, seed=23))
+    for word in (parse_word_file(word_text(tokens)) for tokens in tokens_lists):
+        tg = build_temporal(word)
+        assert not assert_matches_reference(tg)
+        starts = random_start_points(rng, len(word))
+        assert_matches_reference(TemporalGraph(word, starts, tg.base))
