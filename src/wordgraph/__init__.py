@@ -53,7 +53,6 @@ from .lemmas import (
 from .temporal import (
     TemporalGraph,
     build_temporal,
-    is_edge_active,
     next_activation,
     start_points,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "TemporalGraph",
     "start_points",
     "build_temporal",
-    "is_edge_active",
     "next_activation",
     "Schedule",
     "ScheduleViolation",

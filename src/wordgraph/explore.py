@@ -30,12 +30,11 @@ from .graphs import (
     DisconnectedGraphError,
     diameter,
     is_connected,
-    make_edge,
     min_degree,
     neighbourhood_classes,
     spanning_walk,
 )
-from .temporal import TemporalGraph, is_edge_active, next_activation
+from .temporal import TemporalGraph, next_activation
 from .words import Symbol
 
 Step = tuple[tuple[Symbol, Symbol], int]
@@ -157,16 +156,10 @@ def validate_schedule(tg: TemporalGraph, schedule: Schedule) -> ScheduleViolatio
                 f"step {index} at t={t} outside [1, {tg.lifetime}]",
             )
         try:
-            edge = make_edge(u, v)
-        except ValueError:
-            return ScheduleViolation("unknown-edge", index, f"step {index} is a self-loop")
-        if edge not in tg.base.edges:
-            return ScheduleViolation(
-                "unknown-edge",
-                index,
-                f"step {index} uses ({u}, {v}), not an underlying edge",
-            )
-        if not is_edge_active(tg, edge, t):
+            active = next_activation(tg, (u, v), t - 1)
+        except ValueError as error:
+            return ScheduleViolation("unknown-edge", index, f"step {index}: {error}")
+        if active != t:
             return ScheduleViolation(
                 "edge-inactive",
                 index,

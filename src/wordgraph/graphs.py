@@ -72,12 +72,6 @@ class StaticGraph:
         return {v: frozenset(nbrs) for v, nbrs in acc.items()}
 
     @cached
-    def distances(self) -> dict[Symbol, dict[Symbol, int]]:
-        """BFS distances from every vertex. A row holds only the vertices its
-        source reaches, so rows are short on a disconnected graph."""
-        return {v: _bfs_distances(self, v) for v in self.vertices}
-
-    @cached
     def _connected(self) -> Symbol | None:
         """Backs ``is_connected``: a vertex farthest from the first one, or
         None on a disconnected graph. A graph with fewer than n - 1 edges has
@@ -193,7 +187,7 @@ def diameter(graph: StaticGraph) -> int:
 
     Decided once per graph: on a tree one search after the connectivity
     search, otherwise one search per class of vertices with equal open or
-    closed neighbourhoods. It never fills ``graph.distances``.
+    closed neighbourhoods.
     """
     dia = graph._diameter
     if dia is None:

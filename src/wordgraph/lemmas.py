@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from math import inf
 from operator import le
 
-from .graphs import diameter, is_connected
+from .graphs import _bfs_distances, diameter, is_connected, min_degree
 from .temporal import TemporalGraph, largest_gap
 
 LETTER_RECURRENCE = "letter-recurrence"
@@ -124,7 +124,7 @@ def check_edge_recurrence(tg: TemporalGraph) -> LemmaReport:
     lifetime = tg.lifetime
     if not tg.base.edges:
         return _checked(EDGE_RECURRENCE, [], "no edges to check")
-    delta = min(len(tg.base.adjacency[v]) for v in tg.base.vertices)
+    delta = min_degree(tg.base)
     wide = {v for v, gap in tg.letter_gaps.items() if gap > delta + 1}
     violations: list[tuple] = []
     for u, v in sorted(tg.base.edges):
@@ -154,14 +154,14 @@ def check_occurrence_balance(tg: TemporalGraph) -> LemmaReport:
     # of a shortest x-y path, which is their distance (triangle inequality).
     if all(abs(counts[u] - counts[v]) <= 1 for u, v in tg.base.edges):
         return _checked(OCCURRENCE_BALANCE, [])
-    distances = tg.base.distances
     violations: list[tuple] = []
     vertices = tg.base.vertices
     for i, x in enumerate(vertices):
+        distance = _bfs_distances(tg.base, x)
         for y in vertices[i + 1 :]:
             gap = abs(counts[x] - counts[y])
-            if gap > distances[x][y]:
-                violations.append((x.token, y.token, counts[x], counts[y], distances[x][y]))
+            if gap > distance[y]:
+                violations.append((x.token, y.token, counts[x], counts[y], distance[y]))
     return _checked(OCCURRENCE_BALANCE, violations)
 
 
@@ -199,10 +199,10 @@ def check_interleaving(tg: TemporalGraph) -> LemmaReport:
         for u, v in tg.base.edges
     ):
         return _checked(INTERLEAVING, [])
-    distances = tg.base.distances
     violations: list[tuple] = []
     for x in tg.base.vertices:
         chi = occurrences[x]
+        distance = _bfs_distances(tg.base, x)
 
         def chi_at(rank: int) -> float:
             if rank < 1:
@@ -214,7 +214,7 @@ def check_interleaving(tg: TemporalGraph) -> LemmaReport:
         for y in tg.base.vertices:
             if x == y:
                 continue
-            spread = distances[x][y]
+            spread = distance[y]
             psi = occurrences[y]
             # Only a failing pair is walked rank by rank, so witnesses keep
             # their order.

@@ -164,13 +164,6 @@ def build_temporal(word: Word) -> TemporalGraph:
     return TemporalGraph(word=word, start_points=start_points(word), base=base)
 
 
-def is_edge_active(tg: TemporalGraph, e: tuple[Symbol, Symbol], t: int) -> bool:
-    """Membership of an underlying edge in timestep ``t``'s edge set."""
-    if not 1 <= t <= tg.lifetime:
-        raise ValueError(f"timestep {t} outside [1, {tg.lifetime}]")
-    return next_activation(tg, e, t - 1) == t
-
-
 def next_activation(tg: TemporalGraph, e: tuple[Symbol, Symbol], t: int) -> int | None:
     """Smallest timestep strictly after ``t`` at which ``e`` is active.
 

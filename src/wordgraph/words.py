@@ -116,11 +116,6 @@ class Word:
         return cls.from_tokens(text)
 
     @cached
-    def alphabet(self) -> frozenset[Symbol]:
-        """The set of symbols that actually occur in the word."""
-        return frozenset(self.symbols)
-
-    @cached
     def occurrences(self) -> dict[Symbol, tuple[int, ...]]:
         """Map each symbol to its strictly increasing 1-based positions,
         keyed in first-occurrence order."""

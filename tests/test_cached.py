@@ -20,8 +20,8 @@ from wordgraph.temporal import TemporalGraph, build_temporal
 from wordgraph.words import Word, cached
 
 FIELDS = {
-    Word: ("alphabet", "occurrences", "_period", "_root_occurrences"),
-    StaticGraph: ("adjacency", "distances", "_connected", "_diameter"),
+    Word: ("occurrences", "_period", "_root_occurrences"),
+    StaticGraph: ("adjacency", "_connected", "_diameter"),
     TemporalGraph: ("factor_bounds", "letter_times", "letter_gaps", "always_connected"),
 }
 

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 
 import wordgraph
 from references import reference_oracle, words
-from wordgraph import explore
+from wordgraph import explore, graphs, temporal
 from wordgraph.explore import (
     OracleBudgetError,
     Schedule,
@@ -13,7 +13,13 @@ from wordgraph.explore import (
     validate_schedule,
 )
 from wordgraph.families import layered_word, path_word
-from wordgraph.graphs import DisconnectedGraphError, diameter, is_connected, min_degree
+from wordgraph.graphs import (
+    DisconnectedGraphError,
+    diameter,
+    is_connected,
+    make_edge,
+    min_degree,
+)
 from wordgraph.temporal import build_temporal
 from wordgraph.words import Symbol, Word, power
 
@@ -132,6 +138,48 @@ class TestValidateSchedule:
         assert result.visited_all
         assert validate_schedule(tg, result.schedule) is None
         assert "letter_times" not in tg.__dict__
+
+    @pytest.mark.parametrize(
+        "word, start",
+        [(power(path_word(6), 6), "1"), (power(layered_word(12, 6), 12), "(1,1)")],
+        ids=["path", "layered"],
+    )
+    def test_each_step_normalises_its_edge_once(self, monkeypatch, word, start):
+        # One next_activation call per step both finds the edge and tells
+        # whether it is active, so a schedule of s steps normalises s edges.
+        tg = build_temporal(word)
+        schedule = schedule_explore(tg, Symbol(start)).schedule
+        calls = []
+
+        def counting(u, v):
+            calls.append((u, v))
+            return make_edge(u, v)
+
+        for module in (graphs, temporal, explore):
+            if hasattr(module, "make_edge"):
+                monkeypatch.setattr(module, "make_edge", counting)
+        assert validate_schedule(tg, schedule) is None
+        assert len(calls) == len(schedule.steps) > 0
+
+    @pytest.mark.parametrize(
+        "steps, index, message",
+        [
+            ((step("1", "2", 1), step("2", "2", 2)), 2, "self-loop"),
+            (
+                (step("1", "2", 1), step("2", "3", 2), step("3", "1", 3)),
+                3,
+                "not an underlying edge",
+            ),
+        ],
+        ids=["self-loop", "non-edge"],
+    )
+    def test_unknown_edge_names_its_step(self, steps, index, message):
+        tg = build_temporal(Word.from_chars("121323"))
+        violation = validate_schedule(tg, Schedule(Symbol("1"), steps))
+        assert violation.kind == "unknown-edge"
+        assert violation.step == index
+        assert violation.message.startswith(f"step {index}: ")
+        assert message in violation.message
 
     def test_non_increasing_timesteps(self):
         tg = build_temporal(Word.from_chars("121323"))

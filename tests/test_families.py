@@ -144,7 +144,7 @@ class TestLayeredWord:
     def test_smallest_legal_instance(self):
         word = layered_word(6, 3)
         assert len(word) == 12
-        assert len(word.alphabet) == 6
+        assert len(word.occurrences) == 6
 
     @pytest.mark.parametrize(
         "n, d",

@@ -6,6 +6,7 @@ from references import edge, path_edges, reference_edges, syms, words
 from wordgraph.graphs import (
     DisconnectedGraphError,
     StaticGraph,
+    _bfs_distances,
     build_graph,
     diameter,
     is_connected,
@@ -61,15 +62,15 @@ class TestBuildGraph:
 class TestMetrics:
     def test_distance_on_path(self):
         g = build_graph(Word.from_chars("abacbdcedfegfhg"))
-        assert g.distances[Symbol("a")][Symbol("h")] == 7
-        assert g.distances[Symbol("c")][Symbol("c")] == 0
+        assert _bfs_distances(g, Symbol("a"))[Symbol("h")] == 7
+        assert _bfs_distances(g, Symbol("c"))[Symbol("c")] == 0
 
     def test_distance_unreachable_is_none(self):
         g = StaticGraph.from_edges(
             syms("a", "b", "c", "d"),
             [(Symbol("a"), Symbol("b")), (Symbol("c"), Symbol("d"))],
         )
-        assert Symbol("c") not in g.distances[Symbol("a")]
+        assert Symbol("c") not in _bfs_distances(g, Symbol("a"))
 
     def test_diameter_examples(self):
         assert diameter(build_graph(Word.from_chars("abacbdcedfegfhg"))) == 7
@@ -90,7 +91,8 @@ class TestMetrics:
     def test_distance_symmetry_and_triangle_inequality(self, w):
         g = build_graph(w)
         vs = g.vertices
-        dist = {(u, v): g.distances[u].get(v) for u in vs for v in vs}
+        rows = {u: _bfs_distances(g, u) for u in vs}
+        dist = {(u, v): rows[u].get(v) for u in vs for v in vs}
         for u in vs:
             for v in vs:
                 assert dist[(u, v)] == dist[(v, u)]

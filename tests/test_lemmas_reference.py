@@ -6,7 +6,7 @@ endpoint among them. Its window checkers scan those sets window by window,
 and its activity queries scan them timestep by timestep. The library derives
 the same facts from per-vertex letter times, so ``check_letter_recurrence``,
 ``check_edge_recurrence``, ``check_union_windows``, ``always_connected``,
-``next_activation``, ``is_edge_active`` and the temporal JSON must agree
+``next_activation`` and the temporal JSON must agree
 with them exactly, witnesses and their order included, and each timestep's
 edges must equal ``edges_at``. ``per_edge_temporal_json`` renders the temporal JSON edge by edge
 from activation times; the library renders each distinct factor once, and
@@ -40,11 +40,13 @@ from references import (
     exhaustive_words,
     family_instances,
     random_start_points,
+    reference_diameter,
+    reference_distances,
     reference_interleaving,
     short_words,
 )
 from wordgraph.formats import _graph_json, _json_list, emit_graph
-from wordgraph.graphs import StaticGraph, _bfs_distances, is_connected, make_edge
+from wordgraph.graphs import StaticGraph, is_connected, make_edge
 from wordgraph.lemmas import EDGE_RECURRENCE, UNION_WINDOWS, check_interleaving
 from wordgraph.families import layered_word, path_word
 from wordgraph.temporal import TemporalGraph, build_temporal
@@ -125,7 +127,7 @@ def foreign_base_probes(rng, count):
     """Greedy temporal graphs over the complete graph on the word's alphabet,
     or over a random subset of its pairs."""
     for word in short_words(count, seed=rng.random()):
-        alphabet = sorted(word.alphabet)
+        alphabet = sorted(word.occurrences)
         pairs = list(itertools.combinations(alphabet, 2))
         if rng.random() < 0.5:
             pairs = [p for p in pairs if rng.random() < 0.6]
@@ -183,7 +185,7 @@ def union_fallbacks(tg):
     if ReferenceActivity(tg).always_connected() and graph.edges:
         windows[EDGE_RECURRENCE] = min(len(graph.adjacency[v]) for v in graph.vertices) + 1
     if is_connected(graph):
-        dia = max(max(_bfs_distances(graph, v).values()) for v in graph.vertices)
+        dia = reference_diameter(graph)
         windows[UNION_WINDOWS] = dia + 1
     counts = Counter()
     for lemma, size in windows.items():
@@ -237,14 +239,14 @@ def test_emitter_matches_per_edge_renderer():
 
 def test_spanning_subgraph_probe():
     rng = random.Random(7)
-    words = [w for w in short_words(3000, seed=7) if len(w.alphabet) >= 3]
+    words = [w for w in short_words(3000, seed=7) if len(w.occurrences) >= 3]
     words += [power(path_word(n), n) for n in (4, 6, 9)]
     words += [power(layered_word(n, d), 4) for n, d in ((6, 3), (8, 4), (9, 3))]
     words += [power(Word.from_tokens(str(i) for i in range(n)), 6) for n in (4, 6, 8)]
     grown = 0
     for tg in spanning_subgraph_probes(rng, words):
         assert_matches_reference(tg)
-        grown += tg.base.distances != build_temporal(tg.word).base.distances
+        grown += reference_distances(tg.base) != reference_distances(build_temporal(tg.word).base)
     # most probes must stretch some distance past the word's own graph
     assert grown > 150
 

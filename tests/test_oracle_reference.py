@@ -55,7 +55,7 @@ def family_cases():
     paths = set(PATH_FAMILY_GRID) | {(n, n) for n in PATH_GROWTH_OPTIMA}
     cases = [(f"path-{n}^{k}", power(path_word(n), k)) for n, k in sorted(paths)]
     cases += layered_cases()
-    return [pytest.param(w, id=name) for name, w in cases if len(w.alphabet) <= 12]
+    return [pytest.param(w, id=name) for name, w in cases if len(w.occurrences) <= 12]
 
 
 @pytest.mark.parametrize("word", family_cases())
@@ -149,6 +149,7 @@ def test_pruned_witness_on_complete_permutation_powers(n):
     tg = build_temporal(Word.from_tokens([f"k{v}" for v in range(n)] * n))
     for start in tg.base.vertices:
         assert_agrees(tg, start)
+        assert oracle_explore(tg, start).length == n - 1
 
 
 def test_pruned_witness_on_words_with_injected_twins():

@@ -38,7 +38,6 @@ PUBLIC_NAMES = [
     "emit_word",
     "exploration_bound",
     "is_connected",
-    "is_edge_active",
     "layered_word",
     "make_edge",
     "min_degree",
@@ -60,6 +59,7 @@ PUBLIC_NAMES = [
 NOT_EXPORTED = [
     "alternates",
     "project",
+    "is_edge_active",
     "occurrence_indices",
     "distance",
     "PathFamilySpec",

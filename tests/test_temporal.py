@@ -6,7 +6,6 @@ from references import edges_at, words
 from wordgraph.graphs import build_graph
 from wordgraph.temporal import (
     build_temporal,
-    is_edge_active,
     next_activation,
     start_points,
 )
@@ -102,17 +101,18 @@ class TestBuildTemporal:
 class TestEdgeActivity:
     def test_examples(self):
         tg = build_temporal(Word.from_chars("abacbdcedfegfhg"))
-        assert is_edge_active(tg, (Symbol("e"), Symbol("f")), 5) is False
-        assert is_edge_active(tg, (Symbol("g"), Symbol("h")), 5) is True
+        # an edge is active at t when its next activation after t - 1 is t
+        assert next_activation(tg, (Symbol("e"), Symbol("f")), 4) != 5
+        assert next_activation(tg, (Symbol("g"), Symbol("h")), 4) == 5
         triangle = build_temporal(Word.from_chars("xyz"))
-        assert is_edge_active(triangle, (Symbol("x"), Symbol("y")), 1) is True
+        assert next_activation(triangle, (Symbol("x"), Symbol("y")), 0) == 1
 
     def test_errors(self):
         tg = build_temporal(Word.from_chars("121323"))
-        with pytest.raises(ValueError):
-            is_edge_active(tg, (Symbol("1"), Symbol("2")), 4)
-        with pytest.raises(ValueError):
-            is_edge_active(tg, (Symbol("1"), Symbol("3")), 1)
+        # the lifetime is 3, so no edge is active at timestep 4
+        assert next_activation(tg, (Symbol("1"), Symbol("2")), 3) is None
+        with pytest.raises(ValueError, match="self-loop"):
+            next_activation(tg, (Symbol("1"), Symbol("1")), 0)
 
     def test_next_activation_examples(self):
         tg = build_temporal(Word.from_chars("121323"))

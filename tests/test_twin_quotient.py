@@ -101,7 +101,7 @@ def witness_cases():
     rng = random.Random(5)
     for word in permutation_power_words(60, seed=5):
         word = with_closed_twins(word, rng)
-        if len(word.alphabet) <= 8 and is_connected(build_temporal(word).base):
+        if len(word.occurrences) <= 8 and is_connected(build_temporal(word).base):
             words.append(word)
     return [pytest.param(w, id=f"case-{i}") for i, w in enumerate(words[:14])]
 

@@ -50,10 +50,6 @@ class TestWord:
         with pytest.raises(IndexError):
             w.symbols[3]
 
-    def test_alphabet_is_occurring_symbols(self):
-        assert Word.from_chars("aab").alphabet == frozenset(syms("a", "b"))
-        assert Word().alphabet == frozenset()
-
     def test_rejects_non_symbol_values(self):
         with pytest.raises(TypeError, match="got str"):
             Word((Symbol("a"), "b", 7))
@@ -95,7 +91,7 @@ class TestProject:
 
     @given(any_words)
     def test_projecting_onto_own_alphabet_is_identity(self, w):
-        assert project(w, w.alphabet) == w
+        assert project(w, w.occurrences) == w
 
     @given(any_words, st.sets(st.sampled_from(syms(*"abcdefgh")), max_size=4))
     def test_length_is_sum_of_occurrence_counts(self, w, keep):
@@ -174,7 +170,7 @@ class TestOccurrenceIndices:
 
     @given(any_words)
     def test_positions_strictly_increase_and_point_at_symbol(self, w):
-        for sym in w.alphabet:
+        for sym in w.occurrences:
             positions = w.occurrences[sym]
             assert list(positions) == sorted(set(positions))
             assert all(w.symbols[p - 1] == sym for p in positions)
