@@ -458,29 +458,48 @@ class TestParserReuse:
             assert in_process[0] == expected_code
 
 
+# Runs each command of the JSON list in argv[1] through run_cli and prints
+# one JSON list of [exit code, stdout, stderr], one entry per command.
+RUN_COMMANDS = """
+import io, json, sys
+from contextlib import redirect_stderr, redirect_stdout
+from wordgraph.cli import run_cli
+
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run_cli(argv)
+    runs.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(runs))
+"""
+
+
 class TestHashSeeds:
     """Emitted bytes do not depend on the hash seed of the process."""
 
     @pytest.mark.parametrize("n, d", [(12, 6), (24, 6)])
     def test_stdout_is_identical_across_hash_seeds(self, word_file, n, d):
         path = word_file(str(power(layered_word(n, d), n)) + "\n")
-        for argv in (
+        commands = [
             ["build", path, "--temporal"],
             ["explore", path, "--start", "(1,1)"],
             ["oracle", path, "--start", "(1,1)"],
             ["verify", path],
-        ):
-            outs = set()
-            for seed in ("0", "1", "2"):
-                fresh = subprocess.run(
-                    [sys.executable, "-m", "wordgraph", *argv],
-                    capture_output=True,
-                    env=fresh_env(PYTHONHASHSEED=seed),
-                    timeout=60,
-                )
-                assert (fresh.returncode, fresh.stderr) == (0, b"")
-                outs.add(fresh.stdout)
-            assert len(outs) == 1
+        ]
+        outs = set()
+        for seed in ("0", "1", "2"):
+            fresh = subprocess.run(
+                [sys.executable, "-c", RUN_COMMANDS, json.dumps(commands)],
+                capture_output=True,
+                env=fresh_env(PYTHONHASHSEED=seed),
+                timeout=60,
+            )
+            assert (fresh.returncode, fresh.stderr) == (0, b"")
+            runs = json.loads(fresh.stdout)
+            assert [(code, err) for code, _, err in runs] == [(0, "")] * len(commands)
+            outs.add(tuple(out for _, out, _ in runs))
+        assert len(outs) == 1
 
 
 class TestFailClosed:

@@ -18,10 +18,10 @@ corpus and on hand-built graphs at and around that edge count.
 from the far vertex the connectivity search reached last, and otherwise
 one search per class of vertices with equal open or closed neighbourhoods
 (``neighbourhood_classes``), never one search per vertex. It must agree
-with ``reference_diameter`` on the corpus, on the same hand-built graphs,
-and on twin-rich graphs that are not trees: complete-word and layered
-powers, complete bipartite and multipartite graphs, and two cliques that
-share a vertex.
+with ``reference_diameter`` on the corpus, on path powers, on the same
+hand-built graphs, and on twin-rich graphs that are not trees:
+complete-word and layered powers, complete bipartite and multipartite
+graphs, and two cliques that share a vertex.
 """
 
 import random
@@ -65,9 +65,16 @@ def permutation_block_words(rng, count):
     return out
 
 
-def test_corpus_words():
-    for word in corpus_words() + short_words(2000, seed=17):
-        assert build_graph(word).edges == reference_edges(word)
+@pytest.fixture(scope="module")
+def corpus_graphs():
+    """The corpus and 2,000 short words, each with its graph, built once for
+    the module."""
+    return [(word, build_graph(word)) for word in corpus_words() + short_words(2000, seed=17)]
+
+
+def test_corpus_words(corpus_graphs):
+    for word, graph in corpus_graphs:
+        assert graph.edges == reference_edges(word)
 
 
 @pytest.mark.parametrize("sigma, max_length", [(2, 10), (3, 8), (4, 6)])
@@ -120,8 +127,8 @@ def connectivity_probes(rng, count):
     return probes
 
 
-def test_is_connected_on_corpus_words():
-    built = [build_graph(word) for word in corpus_words() + short_words(2000, seed=17)]
+def test_is_connected_on_corpus_words(corpus_graphs):
+    built = [graph for _, graph in corpus_graphs]
     assert {reference_connected(g) for g in built} == {True, False}
     for graph in built:
         assert is_connected(graph) == reference_connected(graph)
@@ -150,8 +157,10 @@ def assert_diameter_matches_reference(graph):
         assert diameter(graph) == expected
 
 
-def test_diameter_on_corpus_words():
-    built = [build_graph(word) for word in corpus_words()]
+def test_diameter_on_corpus_words(corpus_graphs):
+    built = [graph for _, graph in corpus_graphs]
+    # The graph of path(n)^n is the path on n vertices, a tree of diameter n - 1.
+    built += [build_graph(power(path_word(n), n)) for n in (3, 4, 9)]
     # Trees take the two-sweep path, other connected graphs one search per class.
     assert any(len(g.edges) == len(g.vertices) - 1 and is_connected(g) for g in built)
     assert any(len(g.edges) > len(g.vertices) - 1 and is_connected(g) for g in built)
@@ -210,12 +219,6 @@ def test_diameter_on_twin_rich_graphs():
         assert is_connected(graph) and len(graph.edges) > len(graph.vertices) - 1
         assert len(set(neighbourhood_classes(graph))) < len(graph.vertices)
         assert_diameter_matches_reference(graph)
-
-
-def test_tree_diameter_reads_no_distances():
-    for n in (3, 4, 9):
-        graph = build_graph(power(path_word(n), n))
-        assert diameter(graph) == n - 1
 
 
 def counted_searches(monkeypatch):

@@ -1,9 +1,7 @@
-import itertools
-
 import pytest
 from hypothesis import given
 
-from references import syms, words
+from references import words
 from wordgraph.lemmas import (
     CHECKS,
     LemmaReport,
@@ -140,14 +138,6 @@ class TestRunAll:
     def test_random_words_never_violate(self, w):
         for report in run_all(build_temporal(w)):
             assert report.passed, (str(w), report)
-
-    def test_exhaustive_small_words_never_violate(self):
-        for sigma, max_len in ((2, 8), (3, 7)):
-            alphabet = syms(*"abc"[:sigma])
-            for length in range(1, max_len + 1):
-                for combo in itertools.product(alphabet, repeat=length):
-                    for report in run_all(build_temporal(Word(combo))):
-                        assert report.passed, (combo, report)
 
 
 class TestLemmaReport:

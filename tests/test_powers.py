@@ -12,7 +12,8 @@ starts found between them. Here the period must equal
 repeats with; the graph ``reference_edges``, the pairwise-alternation scan
 of the full word; and the starts ``reference_start_points``, the plain
 greedy scan. They are compared on random powers, non-primitive roots, every
-family instance and the corpus.
+family instance and the corpus; on the corpus, the graph is compared by
+``test_graphs_reference.py``.
 
 ``Word.from_tokens``, and so ``parse_word_file``, reads the period on the
 tokens, makes symbols of one copy of the root only and stores the period.
@@ -45,16 +46,23 @@ from wordgraph.words import Symbol, Word, power
 
 
 def assert_matches_references(word):
+    assert build_graph(word).edges == reference_edges(word)
+    assert_root_matches_references(word)
+
+
+def assert_root_matches_references(word):
+    """The period, the root's occurrences and the start points."""
     assert word._period == reference_period(word)
     roots = word._root_occurrences
     assert roots == Word(word.symbols[: word._period]).occurrences
     assert (roots is word.occurrences) is (word._period == len(word))
-    assert_scans_match_references(word)
-
-
-def assert_scans_match_references(word):
-    assert build_graph(word).edges == reference_edges(word)
     assert start_points(word) == reference_start_points(word)
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    """The 10^4-word corpus, built once for the module."""
+    return corpus_words()
 
 
 def random_powers(rng, count):
@@ -91,8 +99,8 @@ def test_equal_symbols_that_are_distinct_objects_keep_the_root():
     # The boundary test is by equality: a power built from equal but
     # distinct symbols is read by its root.
     word = Word(tuple(Symbol(c) for c in "abababab"))
-    assert word._period == 2 == reference_period(word)
-    assert_scans_match_references(word)
+    assert word._period == 2
+    assert_matches_references(word)
 
 
 @pytest.mark.parametrize(
@@ -179,9 +187,11 @@ def test_family_instances():
         assert_matches_references(word)
 
 
-def test_corpus_words():
-    for word in corpus_words():
-        assert_matches_references(word)
+def test_corpus_words(corpus):
+    # test_graphs_reference.py::test_corpus_words compares these words'
+    # graphs with reference_edges.
+    for word in corpus:
+        assert_root_matches_references(word)
 
 
 def word_text(tokens):
@@ -219,8 +229,8 @@ def test_root_parsed_family_and_permutation_powers():
         assert_root_parsed(tokens_of(word))
 
 
-def test_root_parsed_corpus_words():
-    for word in corpus_words():
+def test_root_parsed_corpus_words(corpus):
+    for word in corpus:
         assert_root_parsed(tokens_of(word))
 
 
