@@ -21,10 +21,6 @@ from .words import Symbol, Word
 class ParseError(ValueError):
     """Input text that does not encode the expected document."""
 
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        super().__init__(message if line is None else f"line {line}: {message}")
-
 
 def parse_word_file(text: str, chars: bool = False) -> Word:
     """Read a word document. With ``chars`` every non-space character of a
@@ -40,7 +36,7 @@ def parse_word_file(text: str, chars: bool = False) -> Word:
         else:
             tokens.extend(line.split())
     if not tokens:
-        raise ParseError("no symbol tokens found", line=max(len(lines), 1))
+        raise ParseError(f"line {max(len(lines), 1)}: no symbol tokens found")
     return Word.from_tokens(tokens)
 
 

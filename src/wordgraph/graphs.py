@@ -202,7 +202,7 @@ def min_degree(graph: StaticGraph) -> int:
 def spanning_walk(graph: StaticGraph, start: Symbol) -> list[tuple[Symbol, Symbol]]:
     """A walk from ``start`` whose traversal visits every vertex.
 
-    The walk is the depth-first tree tour rooted at ``start``, truncated
+    The walk is the depth-first tree tour rooted at ``start``, stopped
     immediately after the last first-visit, so it has at most 2(n-1) edges.
     Neighbours are explored in token order, making the output deterministic.
     Edges are returned directed in traversal order.
@@ -210,25 +210,22 @@ def spanning_walk(graph: StaticGraph, start: Symbol) -> list[tuple[Symbol, Symbo
     graph.require_vertex(start)
     if not is_connected(graph):
         raise DisconnectedGraphError("graph is not explorable: it is disconnected")
+    n = len(graph.vertices)
     seen = {start}
     walk: list[tuple[Symbol, Symbol]] = []
-    last_discovery = 0
     stack: list[tuple[Symbol, Iterator[Symbol]]] = [
         (start, iter(sorted(graph.adjacency[start])))
     ]
-    while stack:
+    # The graph is connected, so the root stays stacked until all are seen.
+    while len(seen) < n:
         v, neighbours = stack[-1]
-        descended = False
         for u in neighbours:
             if u not in seen:
                 seen.add(u)
                 walk.append((v, u))
-                last_discovery = len(walk)
                 stack.append((u, iter(sorted(graph.adjacency[u]))))
-                descended = True
                 break
-        if not descended:
+        else:
             stack.pop()
-            if stack:
-                walk.append((v, stack[-1][0]))
-    return walk[:last_discovery]
+            walk.append((v, stack[-1][0]))
+    return walk

@@ -37,7 +37,6 @@ Checker ids, their claims, and their witness tuples:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf
 from operator import le
 
 from .graphs import _bfs_distances, diameter, is_connected, min_degree
@@ -86,13 +85,29 @@ _UNMET = {
 
 
 def _uncovered_windows(times: tuple[int, ...], size: int, lifetime: int):
-    """Ascending starts t of the windows [t, t+size-1] inside [1, lifetime]
-    that hold none of the increasing ``times``; there are none unless
+    """Pairs (a, t), t ascending, for the windows [t, t+size-1] inside
+    [1, lifetime] that hold none of the increasing ``times``: a is the last
+    of ``times`` before t, or 0 when there is none. There are none unless
     ``largest_gap(times, lifetime)`` exceeds ``size``."""
     last = lifetime - size + 1
     bounds = (0, *times, lifetime + 1)
     for a, b in zip(bounds, bounds[1:]):
-        yield from range(a + 1, min(b - size, last) + 1)
+        for t in range(a + 1, min(b - size, last) + 1):
+            yield a, t
+
+
+def _gapped_edges(tg: TemporalGraph, size: int):
+    """Triples (u, v, times), in edge order, for the edges whose activation
+    times leave some window of ``size`` timesteps uncovered. An edge's times
+    contain each endpoint's letter times, so both endpoints' letter gaps
+    must exceed ``size`` too."""
+    gaps = tg.letter_gaps
+    lifetime = tg.lifetime
+    wide = [(u, v) for u, v in tg.base.edges if gaps[u] > size and gaps[v] > size]
+    for u, v in sorted(wide):
+        times = tg.activation_times(u, v)
+        if largest_gap(times, lifetime) > size:
+            yield u, v, times
 
 
 def check_letter_recurrence(tg: TemporalGraph) -> LemmaReport:
@@ -108,7 +123,7 @@ def check_letter_recurrence(tg: TemporalGraph) -> LemmaReport:
             unfit.append(v.token)
             continue
         if tg.letter_gaps[v] > span:
-            for t in _uncovered_windows(tg.letter_times[v], span, lifetime):
+            for _, t in _uncovered_windows(tg.letter_times[v], span, lifetime):
                 violations.append((v.token, t))
     notes = ""
     if unfit:
@@ -125,20 +140,14 @@ def check_edge_recurrence(tg: TemporalGraph) -> LemmaReport:
     if not tg.base.edges:
         return _checked(EDGE_RECURRENCE, [], "no edges to check")
     delta = min_degree(tg.base)
-    wide = {v for v, gap in tg.letter_gaps.items() if gap > delta + 1}
     violations: list[tuple] = []
-    for u, v in sorted(tg.base.edges):
-        # Its times contain each endpoint's letter times: an endpoint gap of
-        # at most delta + 1 fits both window kinds, since delta <= local.
-        if u not in wide or v not in wide:
-            continue
-        times = tg.activation_times(u, v)
-        widest = largest_gap(times, lifetime)
+    # delta <= local, so an edge without an uncovered delta-window has no
+    # uncovered window of either kind.
+    for u, v, times in _gapped_edges(tg, delta + 1):
         local = min(len(tg.base.adjacency[u]), len(tg.base.adjacency[v]))
         for kind, gap in (("delta-window", delta), ("min-degree-window", local)):
-            if widest > gap + 1:
-                for t in _uncovered_windows(times, gap + 1, lifetime):
-                    violations.append((kind, u.token, v.token, t))
+            for _, t in _uncovered_windows(times, gap + 1, lifetime):
+                violations.append((kind, u.token, v.token, t))
     # delta <= local for every edge, so some window fits exactly when a
     # delta-window does.
     notes = "" if lifetime > delta else "no window fits inside the lifetime"
@@ -230,51 +239,35 @@ def check_union_windows(tg: TemporalGraph) -> LemmaReport:
     """Diameter-sized windows of timesteps jointly activate every edge."""
     if not is_connected(tg.base):
         return _UNMET[UNION_WINDOWS]
-    graph = tg.base
     lifetime = tg.lifetime
-    dia = diameter(graph)
-    edges = sorted(graph.edges)
+    dia = diameter(tg.base)
     violations: list[tuple] = []
     skipped: list[str] = []
 
     if dia <= lifetime:
-        for u, v in edges:
+        for u, v in sorted(tg.base.edges):
             if tg.letter_times[u][0] > dia and tg.letter_times[v][0] > dia:
                 violations.append(("first-window", u.token, v.token))
     else:
         skipped.append("first-window")
 
-    # (b) fires on an edge only through a gap of at least dia + 2 after an
-    # activation, or a last activation at t <= T-dia-1, whose gap to T+1 is
-    # then at least dia + 2; (c) needs such a gap too. Every other edge
-    # passes both, and so does an edge with an endpoint whose letter times
-    # have no such gap, since its times contain that endpoint's.
-    wide = {v for v, gap in tg.letter_gaps.items() if gap > dia + 1}
-    times = {(u, v): tg.activation_times(u, v) for u, v in edges if u in wide and v in wide}
-    gapped = [e for e, ts in times.items() if largest_gap(ts, lifetime) > dia + 1]
-
-    if lifetime - dia - 1 >= 1:
-        late = [
-            (a, u, v)
-            for u, v in gapped
-            for a, b in zip(times[u, v], (*times[u, v][1:], inf))
-            if a <= lifetime - dia - 1 and b > a + dia + 1
-        ]
-        for t, u, v in sorted(late):
-            violations.append(("reactivation", u.token, v.token, t))
-    else:
+    # (b) fires at an activation a <= T-dia-1 exactly when the window
+    # [a+1, a+dia+1], which fits inside the lifetime, holds no activation:
+    # that is the first uncovered window (c) finds after a. Neither fires
+    # where no window fits.
+    late: list[tuple] = []
+    uncovered: list[tuple] = []
+    for u, v, times in _gapped_edges(tg, dia + 1):
+        for a, t in _uncovered_windows(times, dia + 1, lifetime):
+            if a and t == a + 1:
+                late.append((a, u, v))
+            uncovered.append((t, u, v))
+    if lifetime - dia - 1 < 1:
         skipped.append("reactivation")
-
-    if lifetime - dia >= 1:
-        uncovered = [
-            (t, u, v)
-            for u, v in gapped
-            for t in _uncovered_windows(times[u, v], dia + 1, lifetime)
-        ]
-        for t, u, v in sorted(uncovered):
-            violations.append(("window-union", t, u.token, v.token))
-    else:
+    if lifetime - dia < 1:
         skipped.append("window-union")
+    violations += [("reactivation", u.token, v.token, a) for a, u, v in sorted(late)]
+    violations += [("window-union", t, u.token, v.token) for t, u, v in sorted(uncovered)]
 
     if len(skipped) == 3:
         return _vacuous(

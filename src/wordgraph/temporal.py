@@ -90,6 +90,9 @@ class TemporalGraph:
     is a letter, or through the factor slices of the word, except
     ``next_activation``, which reads the word's positions and the start
     points. Immutable after construction; all queries are read-only.
+
+    The base's vertices are the word's letters, and the start points rise
+    from 1 within the word; they need not be the greedy ones.
     """
 
     word: Word
@@ -170,8 +173,7 @@ def next_activation(tg: TemporalGraph, e: tuple[Symbol, Symbol], t: int) -> int 
     ``t`` may be 0, meaning "before time begins". Returns None when the edge
     never activates again within the lifetime. Reads the occurrences of the
     word's primitive root and the start points, never ``letter_times``, so
-    it holds for any start points, and a base vertex absent from the word
-    never activates.
+    it holds for any start points.
     """
     if t < 0:
         raise ValueError(f"timestep cursor must be >= 0, got {t}")
@@ -193,11 +195,10 @@ def next_activation(tg: TemporalGraph, e: tuple[Symbol, Symbol], t: int) -> int 
     copy, offset = divmod(starts[t] - 1, period)
     first = n + 1
     for v in edge:
-        positions = roots.get(v)
-        if positions:
-            i = bisect_right(positions, offset)
-            pos = positions[i] if i < len(positions) else period + positions[0]
-            if pos < first:
-                first = pos
+        positions = roots[v]
+        i = bisect_right(positions, offset)
+        pos = positions[i] if i < len(positions) else period + positions[0]
+        if pos < first:
+            first = pos
     first += copy * period
     return bisect_right(starts, first) if first <= n else None

@@ -13,14 +13,17 @@ mutant, with the first failing test, and exits 1 unless every mutant was
 killed. Pytest does not collect this file.
 
 On words, the five theorems hold, so a checker's violation path runs only
-on a temporal graph that no word yields. ``test_lemmas_reference.py::
-test_foreign_base_probe`` builds such graphs, with a base graph that is not
-the word's own, and compares every report with the slow references. It is
-the probe that makes a fault in a violation path fail: it is the only test
-that fails on ``letter-recurrence-gap`` and on
-``interleaving-witness-spread``. The other probe of that module,
-``test_non_greedy_start_points_probe``, is the first to fail on
-``largest-gap-to-lifetime`` and ``union-windows-first-window``.
+on a temporal graph that no word yields. ``test_lemmas_reference.py`` builds
+such graphs and compares every report with the slow references. Its
+``test_planted_violation`` pins one fixed graph per checker, and run alone
+(``-k planted``) it kills ``letter-recurrence-gap``,
+``interleaving-witness-spread``, ``union-windows-reactivation`` and
+``gapped-edges-threshold``; in the full run it is the first to fail on the
+first two. The random probe ``test_non_greedy_start_points_probe``, with
+start points other than the greedy ones, runs before it and is the first to
+fail on ``largest-gap-to-lifetime``, ``union-windows-reactivation`` and
+``gapped-edges-threshold``. ``spanning-walk-stops-early`` first fails
+``test_cli.py::TestExplore::test_complete_schedule``.
 
 Each later fast path should add a mutant of itself here.
 """
@@ -132,10 +135,22 @@ MUTANTS = [
         "<= position <= chi_at(i + spread + 1):",
     ),
     (
-        "union-windows-first-window",
+        "union-windows-reactivation",
         "lemmas.py",
-        "if a <= lifetime - dia - 1 and b > a + dia + 1",
-        "if a <= lifetime - dia - 2 and b > a + dia + 1",
+        "if a and t == a + 1:",
+        "if a and t == a + 2:",
+    ),
+    (
+        "gapped-edges-threshold",
+        "lemmas.py",
+        "if largest_gap(times, lifetime) > size:",
+        "if largest_gap(times, lifetime) > size + 1:",
+    ),
+    (
+        "spanning-walk-stops-early",
+        "graphs.py",
+        "while len(seen) < n:",
+        "while len(seen) < n - 1:",
     ),
 ]
 

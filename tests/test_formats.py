@@ -29,32 +29,44 @@ def schedule_doc(step=(), **fields):
     return json.dumps({**doc, **fields})
 
 
-# Each malformed schedule document, with the start of its error message; the
-# JSON decoder's own wording follows "not valid JSON: ".
+# Each malformed schedule document by its test id, with the start of its
+# error message; the JSON decoder's own wording follows "not valid JSON: ".
 MALFORMED_SCHEDULES = {
-    "{": "not valid JSON: ",
-    "[]": "malformed schedule document: expected a JSON object, got list",
-    '{"start": "1"}': "malformed schedule document: missing field 'steps'",
+    "truncated": ("{", "not valid JSON: "),
+    "list": ("[]", "malformed schedule document: expected a JSON object, got list"),
+    "no-steps": ('{"start": "1"}', "malformed schedule document: missing field 'steps'"),
     # Well-formed JSON with one field of the wrong type or shape.
-    schedule_doc({"t": 1.9}): "malformed schedule document: t must be a JSON integer, got 1.9",
-    schedule_doc({"t": True}): "malformed schedule document: t must be a JSON integer, got True",
-    schedule_doc({"t": "3"}, length=3): (
-        "malformed schedule document: t must be a JSON integer, got '3'"
+    "t-float": (
+        schedule_doc({"t": 1.9}),
+        "malformed schedule document: t must be a JSON integer, got 1.9",
     ),
-    schedule_doc({"edge": ["1", "2", "3"]}): (
-        "malformed schedule document: edge must be a list of two strings, got ['1', '2', '3']"
+    "t-bool": (
+        schedule_doc({"t": True}),
+        "malformed schedule document: t must be a JSON integer, got True",
     ),
-    schedule_doc({"edge": "ab"}): (
-        "malformed schedule document: edge must be a list of two strings, got 'ab'"
+    "t-string": (
+        schedule_doc({"t": "3"}, length=3),
+        "malformed schedule document: t must be a JSON integer, got '3'",
     ),
-    schedule_doc(steps=[], length=0.5): (
-        "malformed schedule document: length must be a JSON integer, got 0.5"
+    "edge-three-ends": (
+        schedule_doc({"edge": ["1", "2", "3"]}),
+        "malformed schedule document: edge must be a list of two strings, got ['1', '2', '3']",
     ),
-    schedule_doc(visited_all="no"): (
-        "malformed schedule document: visited_all must be a JSON boolean, got 'no'"
+    "edge-string": (
+        schedule_doc({"edge": "ab"}),
+        "malformed schedule document: edge must be a list of two strings, got 'ab'",
     ),
-    schedule_doc(visited_all=0): (
-        "malformed schedule document: visited_all must be a JSON boolean, got 0"
+    "length-float": (
+        schedule_doc(steps=[], length=0.5),
+        "malformed schedule document: length must be a JSON integer, got 0.5",
+    ),
+    "visited-all-string": (
+        schedule_doc(visited_all="no"),
+        "malformed schedule document: visited_all must be a JSON boolean, got 'no'",
+    ),
+    "visited-all-int": (
+        schedule_doc(visited_all=0),
+        "malformed schedule document: visited_all must be a JSON boolean, got 0",
     ),
 }
 
@@ -75,10 +87,16 @@ class TestWordDocuments:
         word = parse_word_file("(1,1) (2,1)\n(1,2) (2,2)\n")
         assert word.symbols == ("(1,1)", "(2,1)", "(1,2)", "(2,2)")
 
-    @pytest.mark.parametrize("text", ["", "   \n", "# only a comment\n"])
-    def test_parse_empty_is_an_error(self, text):
-        with pytest.raises(ParseError):
+    # The message names the document's last line, or line 1 when it has none.
+    @pytest.mark.parametrize(
+        "text, line",
+        [("", 1), ("   \n", 1), ("# only a comment\n", 1), ("#x\n#y\n", 2)],
+        ids=["empty", "blank", "comment", "two-comments"],
+    )
+    def test_parse_empty_is_an_error(self, text, line):
+        with pytest.raises(ParseError) as info:
             parse_word_file(text)
+        assert str(info.value) == f"line {line}: no symbol tokens found"
 
     @given(
         st.lists(
@@ -140,6 +158,7 @@ class TestGraphDocuments:
                 '{"range": [6, 6], "letters": ["3"], "edges": [["2", "3"]]}]}',
             ),
         ],
+        ids=["path-8", "121323"],
     )
     def test_temporal_json_bytes(self, text, golden):
         # The golden document in key order; the emitted bytes are exactly its
@@ -260,12 +279,14 @@ class TestScheduleDocuments:
         with pytest.raises(ParseError):
             parse_schedule(text)
 
-    @pytest.mark.parametrize("text", MALFORMED_SCHEDULES)
-    def test_malformed_documents_rejected(self, text):
+    @pytest.mark.parametrize(
+        "text, expected", MALFORMED_SCHEDULES.values(), ids=MALFORMED_SCHEDULES
+    )
+    def test_malformed_documents_rejected(self, text, expected):
         with pytest.raises(ParseError) as info:
             parse_schedule(text)
         message = str(info.value)
-        assert message.startswith(MALFORMED_SCHEDULES[text])
+        assert message.startswith(expected)
         assert "Error(" not in message
 
 

@@ -219,7 +219,7 @@ def test_diameter_on_twin_rich_graphs():
         assert_diameter_matches_reference(graph)
 
 
-def test_tree_diameter_reads_no_distances():
+def test_path_power_diameter_is_n_minus_1():
     for n in (3, 4, 9):
         graph = build_graph(power(path_word(n), n))
         assert diameter(graph) == n - 1

@@ -24,6 +24,9 @@ each kind is compared. In the third every edge alternates, so the edge
 certificates pass, while distances and the diameter grow past those of the
 word's own graph. The word sets do not reach the union fallback of
 ``edge-recurrence`` and ``union-windows``, so the foreign-base probes must.
+``test_planted_violation`` adds one fixed graph per checker with its full
+report spelled out, each gap at the checker's threshold, so an off-by-one in
+a violation path fails a named test rather than one random draw.
 """
 
 import itertools
@@ -47,7 +50,16 @@ from references import (
 )
 from wordgraph.formats import _graph_json, _json_list, emit_graph
 from wordgraph.graphs import StaticGraph, is_connected, make_edge
-from wordgraph.lemmas import EDGE_RECURRENCE, UNION_WINDOWS, check_interleaving
+from wordgraph.lemmas import (
+    CHECKS,
+    EDGE_RECURRENCE,
+    INTERLEAVING,
+    LETTER_RECURRENCE,
+    OCCURRENCE_BALANCE,
+    UNION_WINDOWS,
+    LemmaReport,
+    check_interleaving,
+)
 from wordgraph.families import layered_word, path_word
 from wordgraph.temporal import TemporalGraph, build_temporal
 from wordgraph.words import Symbol, Word, power
@@ -166,6 +178,68 @@ def test_non_greedy_start_points_probe():
     for tg in non_greedy_probes(rng, 1500):
         kinds |= assert_matches_reference(tg)
     assert kinds >= {"first-window", "reactivation", "window-union"}
+
+
+# One small temporal graph per checker, each a word over the complete graph
+# on its letters (so every timestep is connected and every distance is 1),
+# with the checker's full report. The gaps sit at the checkers' thresholds.
+PLANTED = [
+    # Vertex 1 (degree 3) is a letter at times 1-3 only, of 7: its gap to
+    # T+1 = 8 is 5, one more than the window of 4.
+    ("1 1 1 4 3 4 2 2 3 3 3", LemmaReport(LETTER_RECURRENCE, True, False, (("1", 4),))),
+    # Edge (a, b) is active at time 1 only, of 4: a gap of 4, one more than
+    # the window of delta + 1 = 3.
+    (
+        "a b c c c c",
+        LemmaReport(
+            EDGE_RECURRENCE,
+            True,
+            False,
+            (("delta-window", "a", "b", 2), ("min-degree-window", "a", "b", 2)),
+        ),
+    ),
+    ("a b b b", LemmaReport(OCCURRENCE_BALANCE, True, False, (("a", "b", 1, 3, 1),))),
+    # b's one occurrence, 3, lies past a's rank 1 + 1 = 2, and a's second
+    # lies before b's rank 2 - 1 = 1.
+    ("a a b", LemmaReport(INTERLEAVING, True, False, (("a", "b", 1), ("b", "a", 2)))),
+    # Diameter 1 over 7 timesteps: edges (1, 2) and (2, 4) go dark after
+    # time 5, (1, 4) after time 4; no edge of 2, 3 and 4 is active at time 1.
+    (
+        "1 1 1 4 3 4 2 2 3 3 3",
+        LemmaReport(
+            UNION_WINDOWS,
+            True,
+            False,
+            (
+                ("first-window", "2", "3"),
+                ("first-window", "2", "4"),
+                ("first-window", "3", "4"),
+                ("reactivation", "1", "4", 4),
+                ("reactivation", "1", "2", 5),
+                ("reactivation", "2", "4", 5),
+                ("window-union", 1, "2", "3"),
+                ("window-union", 1, "2", "4"),
+                ("window-union", 1, "3", "4"),
+                ("window-union", 5, "1", "4"),
+                ("window-union", 6, "1", "2"),
+                ("window-union", 6, "1", "4"),
+                ("window-union", 6, "2", "4"),
+            ),
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "tokens, expected", PLANTED, ids=[report.lemma_id for _, report in PLANTED]
+)
+def test_planted_violation(tokens, expected):
+    word = Word.from_tokens(tokens.split())
+    alphabet = sorted(word.occurrences)
+    base = StaticGraph.from_edges(alphabet, itertools.combinations(alphabet, 2))
+    tg = TemporalGraph(word, build_temporal(word).start_points, base)
+    assert CHECKS[expected.lemma_id](tg) == expected
+    assert_matches_reference(tg)
 
 
 def union_fallbacks(tg):
