@@ -158,7 +158,10 @@ def check_occurrence_balance(tg: TemporalGraph) -> LemmaReport:
     """Occurrence counts of two symbols differ by at most their distance."""
     if not is_connected(tg.base):
         return _UNMET[OCCURRENCE_BALANCE]
-    counts = {v: len(tg.word.occurrences[v]) for v in tg.base.vertices}
+    # A power u^k holds each letter k times as often as u does.
+    word = tg.word
+    copies = len(word.symbols) // word._period
+    counts = {v: copies * len(ps) for v, ps in word._root_occurrences.items()}
     # Counts within 1 on every edge bound |count x - count y| by the length
     # of a shortest x-y path, which is their distance (triangle inequality).
     if all(abs(counts[u] - counts[v]) <= 1 for u, v in tg.base.edges):
@@ -192,7 +195,6 @@ def check_interleaving(tg: TemporalGraph) -> LemmaReport:
     of each other."""
     if not is_connected(tg.base):
         return _UNMET[INTERLEAVING]
-    occurrences = tg.word.occurrences
     # Edges certify every pair. The spread-1 condition in both directions
     # on an edge (a, b) makes the same two slice comparisons either way, so
     # it is one ``_interleaved`` call plus both count guards,
@@ -202,12 +204,18 @@ def check_interleaving(tg: TemporalGraph) -> LemmaReport:
     # them the count guards make +inf meet +inf. Chaining these along a
     # shortest path from x to y, s edges long, gives
     # chi_at(i-s) <= psi[i] <= chi_at(i+s), the condition at distance s.
+    # In a proper power u^k, counts that differ in u differ by k >= 2 in
+    # the word, and with equal counts every comparison across a copy
+    # boundary holds, so the certificate is read on one copy of u.
+    word = tg.word
+    roots = word._root_occurrences
+    slack = 1 if word._period == len(word.symbols) else 0
     if all(
-        abs(len(occurrences[u]) - len(occurrences[v])) <= 1
-        and _interleaved(occurrences[u], occurrences[v], 1)
+        abs(len(roots[u]) - len(roots[v])) <= slack and _interleaved(roots[u], roots[v], 1)
         for u, v in tg.base.edges
     ):
         return _checked(INTERLEAVING, [])
+    occurrences = word.occurrences
     violations: list[tuple] = []
     for x in tg.base.vertices:
         chi = occurrences[x]
@@ -245,8 +253,12 @@ def check_union_windows(tg: TemporalGraph) -> LemmaReport:
     skipped: list[str] = []
 
     if dia <= lifetime:
+        # A vertex is first a letter after timestep dia exactly when it
+        # first occurs at or after the start of timestep dia + 1.
+        roots = tg.word._root_occurrences
+        bound = tg.start_points[dia] if dia < lifetime else len(tg.word.symbols) + 1
         for u, v in sorted(tg.base.edges):
-            if tg.letter_times[u][0] > dia and tg.letter_times[v][0] > dia:
+            if roots[u][0] >= bound and roots[v][0] >= bound:
                 violations.append(("first-window", u.token, v.token))
     else:
         skipped.append("first-window")

@@ -85,11 +85,13 @@ class TemporalGraph:
     """A word, its timestep partition and its underlying graph.
 
     Activity is derived, never stored: timestep t (1-based) activates every
-    edge of ``base`` with an endpoint among the letters of factor t. Every
-    query goes through ``letter_times``, the timesteps at which each vertex
-    is a letter, or through the factor slices of the word, except
-    ``next_activation``, which reads the word's positions and the start
-    points. Immutable after construction; all queries are read-only.
+    edge of ``base`` with an endpoint among the letters of factor t. Queries
+    read ``letter_times``, the timesteps at which each vertex is a letter,
+    the factor slices of the word, or the occurrences of the word's
+    primitive root bisected into the start points: ``next_activation``
+    does, and so does ``letter_gaps`` on a graph that ``build_temporal``
+    made from a proper power, reading one cycle of its timeline. Immutable
+    after construction; all queries are read-only.
 
     The base's vertices are the word's letters, and the start points rise
     from 1 within the word; they need not be the greedy ones.
@@ -120,10 +122,39 @@ class TemporalGraph:
         return {v: tuple(ts) for v, ts in times.items()}
 
     @cached
+    def _repeat(self) -> int | None:
+        """The copy r of the primitive root u at which the greedy scan of
+        u^k enters at an offset it entered an earlier copy at, so that the
+        timeline repeats from there on; None when none repeats, or when
+        the start points may not be the greedy ones. ``build_temporal``
+        stores it for a proper power; any other graph reads None."""
+        return None
+
+    @cached
     def letter_gaps(self) -> dict[Symbol, int]:
         """``largest_gap`` of each vertex's letter times."""
         lifetime = self.lifetime
-        return {v: largest_gap(ts, lifetime) for v, ts in self.letter_times.items()}
+        word = self.word
+        period = word._period
+        repeat = None if period == len(word.symbols) else self._repeat
+        if repeat is None:
+            return {v: largest_gap(ts, lifetime) for v, ts in self.letter_times.items()}
+        # Past the copy at which the scan first entered at the offset it
+        # enters copy ``repeat`` at, each later stretch of as many copies
+        # holds the same timesteps, shifted. So every gap between two
+        # consecutive letter times of v is a gap between two of its
+        # occurrences in copies 0 to ``repeat``: the later one lies at most
+        # one copy after the earlier. The gap to T + 1 is v's last
+        # occurrence's, in the last copy.
+        starts = self.start_points
+        copies = range(0, (repeat + 1) * period, period)
+        last = len(word.symbols) - period
+        gaps = {}
+        for v, roots in word._root_occurrences.items():
+            times = [0, *[bisect_right(starts, c + p) for c in copies for p in roots]]
+            end = lifetime + 1 - bisect_right(starts, last + roots[-1])
+            gaps[v] = max(end, *map(sub, times[1:], times))
+        return gaps
 
     def activation_times(self, u: Symbol, v: Symbol) -> tuple[int, ...]:
         """Increasing timesteps at which the edge (u, v) is active: the union
@@ -140,11 +171,19 @@ class TemporalGraph:
         # whose factor holds every vertex activates every base edge.
         if not is_connected(self.base):
             return False
+        # A timestep's graph depends only on its factor, so each distinct
+        # factor is searched once.
         adjacency = self.base.adjacency
         root = self.base.vertices[0]
         n = len(self.base.vertices)
+        symbols = self.word.symbols
+        searched = set()
         for lo, hi in self.factor_bounds:
-            letters = frozenset(self.word.symbols[lo - 1 : hi])
+            factor = symbols[lo - 1 : hi]
+            if factor in searched:
+                continue
+            searched.add(factor)
+            letters = frozenset(factor)
             if len(letters) == n:
                 continue
             reached = {root}
@@ -162,9 +201,24 @@ class TemporalGraph:
 
 def build_temporal(word: Word) -> TemporalGraph:
     """The temporal graph of ``word``: its greedy start points over its own
-    alternation graph."""
+    alternation graph. On a proper power it also stores ``_repeat``."""
     base = build_graph(word)
-    return TemporalGraph(word=word, start_points=start_points(word), base=base)
+    tg = TemporalGraph(word=word, start_points=start_points(word), base=base)
+    period = word._period
+    n = len(word.symbols)
+    if period < n:
+        # The offset at which the open factor enters each copy, as
+        # ``start_points`` tracks it, read back from the start points: the
+        # factor that holds the position before the copy is the open one.
+        starts = tg.start_points
+        entered = set()
+        for before in range(period, n, period):
+            offset = starts[bisect_right(starts, before) - 1] - before
+            if offset in entered:
+                vars(tg)["_repeat"] = before // period
+                break
+            entered.add(offset)
+    return tg
 
 
 def next_activation(tg: TemporalGraph, e: tuple[Symbol, Symbol], t: int) -> int | None:

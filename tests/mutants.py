@@ -21,9 +21,22 @@ such graphs and compares every report with the slow references. Its
 ``gapped-edges-threshold``; in the full run it is the first to fail on the
 first two. The random probe ``test_non_greedy_start_points_probe``, with
 start points other than the greedy ones, runs before it and is the first to
-fail on ``largest-gap-to-lifetime``, ``union-windows-reactivation`` and
-``gapped-edges-threshold``. ``spanning-walk-stops-early`` first fails
+fail on ``union-windows-reactivation`` and ``gapped-edges-threshold``.
+``spanning-walk-stops-early`` first fails
 ``test_cli.py::TestExplore::test_complete_schedule``.
+
+``assert_matches_reference`` compares the letter gaps with the reference
+letter sets on every graph it sees, so ``test_random_words`` is the first
+to fail on ``largest-gap-to-lifetime``. A proper power is verified from one
+cycle of its timeline, and each of those readings has a mutant.
+``test_family_words`` is the first to fail on ``cycle-gaps-without-end``.
+A gap that only the copy at which the timeline repeats holds is rare in
+random powers, so ``cycle-gaps-one-copy-short`` first fails the planted
+``test_powers.py::test_letter_gap_between_the_repeating_copy_and_the_one_before``.
+On words every base edge of a power has equal counts in the root, so only
+a base that is not the word's own tells the root certificate and counts
+apart: ``test_foreign_base_probe`` is the first to fail on
+``root-certificate-without-count-guard`` and ``balance-counts-of-one-copy``.
 
 Each later fast path should add a mutant of itself here.
 """
@@ -145,6 +158,30 @@ MUTANTS = [
         "lemmas.py",
         "if largest_gap(times, lifetime) > size:",
         "if largest_gap(times, lifetime) > size + 1:",
+    ),
+    (
+        "cycle-gaps-one-copy-short",
+        "temporal.py",
+        "copies = range(0, (repeat + 1) * period, period)",
+        "copies = range(0, repeat * period, period)",
+    ),
+    (
+        "cycle-gaps-without-end",
+        "temporal.py",
+        "gaps[v] = max(end, *map(sub, times[1:], times))",
+        "gaps[v] = max(map(sub, times[1:], times))",
+    ),
+    (
+        "root-certificate-without-count-guard",
+        "lemmas.py",
+        "slack = 1 if word._period == len(word.symbols) else 0",
+        "slack = 1",
+    ),
+    (
+        "balance-counts-of-one-copy",
+        "lemmas.py",
+        "counts = {v: copies * len(ps) for v, ps in word._root_occurrences.items()}",
+        "counts = {v: len(ps) for v, ps in word._root_occurrences.items()}",
     ),
     (
         "spanning-walk-stops-early",

@@ -14,7 +14,8 @@ from the definition rather than for speed:
 - timestep activity: ``edges_at`` gives one timestep's edge set, and
   ``ReferenceActivity`` every timestep's letter and edge sets, with window
   checkers that scan them; ``assert_matches_reference`` compares every
-  derived query and checker of a temporal graph with them;
+  derived query and checker of a temporal graph with them, and
+  ``assert_letter_gaps_match`` the letter gaps and first letter times;
 - the pair lemmas: ``reference_interleaving`` walks every vertex pair rank by
   rank, and ``reference_occurrence_balance`` compares every pair's counts;
 - the exact optimum: ``reference_oracle`` is plain Dijkstra over concrete
@@ -505,6 +506,19 @@ def witness_kinds(report):
     return {witness[0] for witness in report.violations}
 
 
+def assert_letter_gaps_match(tg, letters):
+    """Compare ``letter_gaps``, and each vertex's first letter time read as
+    its first occurrence bisected into the start points, with the timesteps
+    whose letter set in ``letters`` holds the vertex."""
+    lifetime = tg.lifetime
+    for v in tg.base.vertices:
+        times = [t for t in range(1, lifetime + 1) if v in letters[t - 1]]
+        bounds = [0, *times, lifetime + 1]
+        gap = max(b - a for a, b in zip(bounds, bounds[1:]))
+        assert tg.letter_gaps[v] == gap, (str(tg.word), tg.start_points, v)
+        assert bisect_right(tg.start_points, tg.word.occurrences[v][0]) == times[0]
+
+
 def assert_matches_reference(tg):
     """Compare every derived query with the reference; return the witness
     kinds the checkers reported."""
@@ -519,6 +533,7 @@ def assert_matches_reference(tg):
     ]
     for report, expected in reports:
         assert report == expected, (str(tg.word), tg.start_points)
+    assert_letter_gaps_match(tg, ref.letters)
     for t in range(1, tg.lifetime + 1):
         assert edges_at(tg, t) == ref.active[t - 1]
     for e in tg.base.edges:

@@ -22,7 +22,13 @@ from wordgraph.words import Word, cached
 FIELDS = {
     Word: ("occurrences", "_period", "_root_occurrences"),
     StaticGraph: ("adjacency", "_connected", "_diameter"),
-    TemporalGraph: ("factor_bounds", "letter_times", "letter_gaps", "always_connected"),
+    TemporalGraph: (
+        "factor_bounds",
+        "letter_times",
+        "_repeat",
+        "letter_gaps",
+        "always_connected",
+    ),
 }
 
 CALLS: list[int] = []
@@ -71,7 +77,7 @@ def fill(obj):
         getattr(obj, name)
 
 
-@pytest.mark.parametrize("text", ["121323", "ababcdcd", "a", "abcabcab"])
+@pytest.mark.parametrize("text", ["121323", "ababcdcd", "a", "abcabcab", "abcabcabc"])
 def test_equality_and_hash_ignore_filled_caches(text):
     def word():
         return Word.from_chars(text)
@@ -87,8 +93,11 @@ def test_equality_and_hash_ignore_filled_caches(text):
         if isinstance(filled, TemporalGraph):
             fill(filled.base)
         assert set(FIELDS[type(filled)]) <= set(vars(filled))
-        # from_tokens stores the period it read on the tokens, and only that.
+        # from_tokens stores the period it read on the tokens, and
+        # build_temporal the copy at which a power's timeline repeats.
         stored = {"_period"} if isinstance(fresh, Word) else set()
+        if isinstance(fresh, TemporalGraph) and fresh.word._period < len(fresh.word):
+            stored = {"_repeat"}
         assert set(FIELDS[type(fresh)]) & set(vars(fresh)) == stored
         assert filled == fresh and fresh == filled
         assert hash(filled) == before == hash(fresh)

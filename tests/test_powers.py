@@ -29,6 +29,8 @@ import pytest
 
 import wordgraph.temporal as temporal
 from references import (
+    ReferenceActivity,
+    assert_letter_gaps_match,
     assert_matches_reference,
     corpus_words,
     family_instances,
@@ -41,6 +43,7 @@ from references import (
 from wordgraph.families import layered_word, path_word
 from wordgraph.formats import parse_word_file
 from wordgraph.graphs import build_graph
+from wordgraph.lemmas import run_all
 from wordgraph.temporal import TemporalGraph, build_temporal, start_points
 from wordgraph.words import Symbol, Word, power
 
@@ -48,6 +51,8 @@ from wordgraph.words import Symbol, Word, power
 def assert_matches_references(word):
     assert build_graph(word).edges == reference_edges(word)
     assert_root_matches_references(word)
+    tg = build_temporal(word)
+    assert_letter_gaps_match(tg, ReferenceActivity(tg).letters)
 
 
 def assert_root_matches_references(word):
@@ -259,3 +264,50 @@ def test_root_parsed_powers_match_activity_references():
         assert not assert_matches_reference(tg)
         starts = random_start_points(rng, len(word))
         assert_matches_reference(TemporalGraph(word, starts, tg.base))
+
+
+@pytest.mark.parametrize(
+    "word",
+    [power(path_word(12), 12), power(layered_word(12, 4), 12), power(layered_word(24, 6), 6)],
+    ids=["path", "layered-12-4", "layered-24-6"],
+)
+def test_verify_reads_one_cycle_of_a_power(word):
+    # build_temporal keeps the copy at which the greedy timeline repeats,
+    # so the checkers read the letter gaps from the copies up to it, and
+    # the counts and the interleaving certificate from one copy of the
+    # root: neither the letter times nor the full word's occurrences fill.
+    tg = build_temporal(word)
+    assert tg._repeat == 2
+    assert all(report.passed for report in run_all(tg))
+    assert "letter_times" not in vars(tg)
+    assert "occurrences" not in vars(word)
+    assert_letter_gaps_match(tg, ReferenceActivity(tg).letters)
+
+
+def test_letter_gap_between_the_repeating_copy_and_the_one_before():
+    # Copies count from 0 here, as in ``_repeat``. The factor open at the
+    # end of copies 0 and 1 starts at their last position, 9 and 18 alike,
+    # so the timeline repeats from copy 2 on. Letter 2 occurs once per
+    # copy, at times 3, 6, 10, 14, 18 of 20: its largest gap, 4, first lies
+    # between its occurrences in copies 1 and 2, so the gaps are read up to
+    # copy 2.
+    word = power(Word.from_tokens("4 1 3 4 3 4 2 3 3".split()), 5)
+    tg = build_temporal(word)
+    assert tg._repeat == 2
+    assert tg.letter_gaps[Symbol("2")] == 4
+    assert_letter_gaps_match(tg, ReferenceActivity(tg).letters)
+
+
+def test_power_with_other_start_points_reads_the_full_word():
+    # Only build_temporal knows that its start points are the greedy ones,
+    # so a power over random start points fills its letter times for its
+    # letter gaps, and still matches the references.
+    rng = random.Random(29)
+    word = power(path_word(6), 6)
+    greedy = build_temporal(word)
+    assert greedy._repeat is not None
+    tg = TemporalGraph(word, random_start_points(rng, len(word)), greedy.base)
+    assert tg._repeat is None
+    assert "letter_times" not in vars(tg)
+    assert tg.letter_gaps and "letter_times" in vars(tg)
+    assert_matches_reference(tg)
