@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from operator import le
 
 from .graphs import _bfs_distances, diameter, is_connected, min_degree
-from .temporal import TemporalGraph, largest_gap
+from .temporal import TemporalGraph
 
 LETTER_RECURRENCE = "letter-recurrence"
 EDGE_RECURRENCE = "edge-recurrence"
@@ -53,23 +53,24 @@ UNION_WINDOWS = "union-windows"
 class LemmaReport:
     lemma_id: str
     applicable: bool
-    passed: bool
     violations: tuple[tuple, ...] = ()
     notes: str = ""
 
     def __post_init__(self) -> None:
-        if self.applicable and self.passed != (not self.violations):
-            raise ValueError("pass must mirror the absence of violations")
-        if not self.applicable and (not self.passed or self.violations):
+        if not self.applicable and self.violations:
             raise ValueError("inapplicable reports pass vacuously, without witnesses")
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations
 
 
 def _checked(lemma_id: str, violations: list[tuple], notes: str = "") -> LemmaReport:
-    return LemmaReport(lemma_id, True, not violations, tuple(violations), notes)
+    return LemmaReport(lemma_id, True, tuple(violations), notes)
 
 
 def _vacuous(lemma_id: str, note: str) -> LemmaReport:
-    return LemmaReport(lemma_id, False, True, (), note)
+    return LemmaReport(lemma_id, False, (), note)
 
 
 # A checker whose connectivity precondition fails reports the same thing on
@@ -88,7 +89,7 @@ def _uncovered_windows(times: tuple[int, ...], size: int, lifetime: int):
     """Pairs (a, t), t ascending, for the windows [t, t+size-1] inside
     [1, lifetime] that hold none of the increasing ``times``: a is the last
     of ``times`` before t, or 0 when there is none. There are none unless
-    ``largest_gap(times, lifetime)`` exceeds ``size``."""
+    a step of (0, *times, lifetime + 1) exceeds ``size``."""
     last = lifetime - size + 1
     bounds = (0, *times, lifetime + 1)
     for a, b in zip(bounds, bounds[1:]):
@@ -106,7 +107,7 @@ def _gapped_edges(tg: TemporalGraph, size: int):
     wide = [(u, v) for u, v in tg.base.edges if gaps[u] > size and gaps[v] > size]
     for u, v in sorted(wide):
         times = tg.activation_times(u, v)
-        if largest_gap(times, lifetime) > size:
+        if any(_uncovered_windows(times, size, lifetime)):
             yield u, v, times
 
 

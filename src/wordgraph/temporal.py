@@ -72,26 +72,18 @@ def _scan(
     return seen
 
 
-def largest_gap(times: tuple[int, ...], lifetime: int) -> int:
-    """The largest step between consecutive entries of (0, *times,
-    lifetime + 1). A window of k consecutive timesteps inside [1, lifetime]
-    holds none of the increasing ``times`` exactly when this exceeds k."""
-    bounds = (0, *times, lifetime + 1)
-    return max(map(sub, bounds[1:], bounds))
-
-
 @dataclass(frozen=True)
 class TemporalGraph:
     """A word, its timestep partition and its underlying graph.
 
     Activity is derived, never stored: timestep t (1-based) activates every
-    edge of ``base`` with an endpoint among the letters of factor t. Queries
-    read ``letter_times``, the timesteps at which each vertex is a letter,
-    the factor slices of the word, or the occurrences of the word's
-    primitive root bisected into the start points: ``next_activation``
-    does, and so does ``letter_gaps`` on a graph that ``build_temporal``
-    made from a proper power, reading one cycle of its timeline. Immutable
-    after construction; all queries are read-only.
+    edge of ``base`` with an endpoint among the letters of factor t, and
+    position p lies in timestep ``bisect_right(start_points, p)``. Queries
+    bisect occurrences into the start points: ``letter_times`` the word's,
+    ``next_activation`` and ``letter_gaps`` its primitive root's, copy by
+    copy; on a proper power that ``build_temporal`` made, ``letter_gaps``
+    reads one cycle of the timeline. Immutable after construction; all
+    queries are read-only.
 
     The base's vertices are the word's letters, and the start points rise
     from 1 within the word; they need not be the greedy ones.
@@ -113,13 +105,14 @@ class TemporalGraph:
 
     @cached
     def letter_times(self) -> dict[Symbol, tuple[int, ...]]:
-        """Timesteps whose factor holds each vertex; strictly increasing
-        unless non-greedy start points repeat a letter inside a factor."""
-        times: dict[Symbol, list[int]] = {v: [] for v in self.base.vertices}
-        for t, (lo, hi) in enumerate(self.factor_bounds, start=1):
-            for v in self.word.symbols[lo - 1 : hi]:
-                times[v].append(t)
-        return {v: tuple(ts) for v, ts in times.items()}
+        """Timesteps whose factor holds each vertex, one per occurrence;
+        strictly increasing unless non-greedy start points repeat a letter
+        inside a factor."""
+        starts = self.start_points
+        return {
+            v: tuple([bisect_right(starts, p) for p in positions])
+            for v, positions in self.word.occurrences.items()
+        }
 
     @cached
     def _repeat(self) -> int | None:
@@ -132,23 +125,24 @@ class TemporalGraph:
 
     @cached
     def letter_gaps(self) -> dict[Symbol, int]:
-        """``largest_gap`` of each vertex's letter times."""
+        """The largest step between consecutive entries of (0, *times, T + 1)
+        for each vertex's letter times: a window of k consecutive timesteps
+        inside [1, T] holds none of them exactly when this exceeds k."""
         lifetime = self.lifetime
         word = self.word
         period = word._period
         repeat = None if period == len(word.symbols) else self._repeat
-        if repeat is None:
-            return {v: largest_gap(ts, lifetime) for v, ts in self.letter_times.items()}
         # Past the copy at which the scan first entered at the offset it
         # enters copy ``repeat`` at, each later stretch of as many copies
         # holds the same timesteps, shifted. So every gap between two
         # consecutive letter times of v is a gap between two of its
         # occurrences in copies 0 to ``repeat``: the later one lies at most
-        # one copy after the earlier. The gap to T + 1 is v's last
-        # occurrence's, in the last copy.
+        # one copy after the earlier. Without ``repeat`` every copy is read,
+        # and a word that is no proper power is its one copy. The gap to
+        # T + 1 is v's last occurrence's, in the last copy.
         starts = self.start_points
-        copies = range(0, (repeat + 1) * period, period)
         last = len(word.symbols) - period
+        copies = range(0, last + 1 if repeat is None else (repeat + 1) * period, period)
         gaps = {}
         for v, roots in word._root_occurrences.items():
             times = [0, *[bisect_right(starts, c + p) for c in copies for p in roots]]

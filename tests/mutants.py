@@ -25,14 +25,20 @@ fail on ``union-windows-reactivation`` and ``gapped-edges-threshold``.
 ``spanning-walk-stops-early`` first fails
 ``test_cli.py::TestExplore::test_complete_schedule``.
 
-``assert_matches_reference`` compares the letter gaps with the reference
-letter sets on every graph it sees, so ``test_random_words`` is the first
-to fail on ``largest-gap-to-lifetime``. A proper power is verified from one
-cycle of its timeline, and each of those readings has a mutant.
-``test_family_words`` is the first to fail on ``cycle-gaps-without-end``.
-A gap that only the copy at which the timeline repeats holds is rare in
-random powers, so ``cycle-gaps-one-copy-short`` first fails the planted
-``test_powers.py::test_letter_gap_between_the_repeating_copy_and_the_one_before``.
+``largest-gap-to-lifetime`` moves the end of the windows that
+``_uncovered_windows`` scans; the non-greedy probe is the first to fail on
+it. ``assert_matches_reference`` compares the letter times and the letter
+gaps with the reference letter sets on every graph it sees:
+``test_random_words`` is the first to fail on ``cycle-gaps-without-end``,
+and, run alone, on ``letter-times-bisect-left``, which in the full run
+first fails ``test_acceptance.py::test_criterion_09_layered_growth_trend``,
+whose oracle reads letter times. Each reading of one cycle of the timeline
+has a mutant. A gap that only the copy at which the timeline repeats holds
+is rare in random powers, so ``cycle-gaps-one-copy-short`` first fails the
+planted
+``test_powers.py::test_letter_gap_between_the_repeating_copy_and_the_one_before``;
+with that test deselected, ``test_letter_gaps_of_every_short_root_cubed``
+fails on it.
 On words every base edge of a power has equal counts in the root, so only
 a base that is not the word's own tells the root certificate and counts
 apart: ``test_foreign_base_probe`` is the first to fail on
@@ -131,7 +137,7 @@ MUTANTS = [
     ),
     (
         "largest-gap-to-lifetime",
-        "temporal.py",
+        "lemmas.py",
         "bounds = (0, *times, lifetime + 1)",
         "bounds = (0, *times, lifetime)",
     ),
@@ -156,14 +162,20 @@ MUTANTS = [
     (
         "gapped-edges-threshold",
         "lemmas.py",
-        "if largest_gap(times, lifetime) > size:",
-        "if largest_gap(times, lifetime) > size + 1:",
+        "if any(_uncovered_windows(times, size, lifetime)):",
+        "if any(_uncovered_windows(times, size + 1, lifetime)):",
     ),
     (
         "cycle-gaps-one-copy-short",
         "temporal.py",
-        "copies = range(0, (repeat + 1) * period, period)",
-        "copies = range(0, repeat * period, period)",
+        "copies = range(0, last + 1 if repeat is None else (repeat + 1) * period, period)",
+        "copies = range(0, last + 1 if repeat is None else repeat * period, period)",
+    ),
+    (
+        "letter-times-bisect-left",
+        "temporal.py",
+        "v: tuple([bisect_right(starts, p) for p in positions])",
+        "v: tuple([bisect_right(starts, p - 1) for p in positions])",
     ),
     (
         "cycle-gaps-without-end",

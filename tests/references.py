@@ -366,9 +366,7 @@ class ReferenceActivity:
     def letter_recurrence(self):
         tg = self.tg
         if not self.always_connected():
-            return LemmaReport(
-                LETTER_RECURRENCE, False, True, (), "not connected in every timestep"
-            )
+            return LemmaReport(LETTER_RECURRENCE, False, (), "not connected in every timestep")
         lifetime = tg.lifetime
         violations = []
         unfit = []
@@ -383,17 +381,15 @@ class ReferenceActivity:
         notes = ""
         if unfit:
             notes = "windows exceed the lifetime for: " + ", ".join(sorted(unfit))
-        return LemmaReport(LETTER_RECURRENCE, True, not violations, tuple(violations), notes)
+        return LemmaReport(LETTER_RECURRENCE, True, tuple(violations), notes)
 
     def edge_recurrence(self):
         tg = self.tg
         if not self.always_connected():
-            return LemmaReport(
-                EDGE_RECURRENCE, False, True, (), "not connected in every timestep"
-            )
+            return LemmaReport(EDGE_RECURRENCE, False, (), "not connected in every timestep")
         lifetime = tg.lifetime
         if not tg.base.edges:
-            return LemmaReport(EDGE_RECURRENCE, True, True, (), "no edges to check")
+            return LemmaReport(EDGE_RECURRENCE, True, (), "no edges to check")
         delta = min(len(tg.base.adjacency[v]) for v in tg.base.vertices)
         violations = []
         any_window = False
@@ -405,14 +401,12 @@ class ReferenceActivity:
                     if all((u, v) not in self.active[s] for s in range(t - 1, t + gap)):
                         violations.append((kind, u.token, v.token, t))
         notes = "" if any_window else "no window fits inside the lifetime"
-        return LemmaReport(EDGE_RECURRENCE, True, not violations, tuple(violations), notes)
+        return LemmaReport(EDGE_RECURRENCE, True, tuple(violations), notes)
 
     def union_windows(self):
         tg = self.tg
         if not is_connected(tg.base):
-            return LemmaReport(
-                UNION_WINDOWS, False, True, (), "underlying graph is disconnected"
-            )
+            return LemmaReport(UNION_WINDOWS, False, (), "underlying graph is disconnected")
         graph = tg.base
         lifetime = tg.lifetime
         dia = reference_diameter(graph)
@@ -444,21 +438,20 @@ class ReferenceActivity:
             return LemmaReport(
                 UNION_WINDOWS,
                 False,
-                True,
                 (),
                 f"diameter {dia} exceeds lifetime {lifetime}: no window fits",
             )
         notes = ""
         if skipped:
             notes = "skipped (window does not fit): " + ", ".join(skipped)
-        return LemmaReport(UNION_WINDOWS, True, not violations, tuple(violations), notes)
+        return LemmaReport(UNION_WINDOWS, True, tuple(violations), notes)
 
 
 def reference_interleaving(tg):
     """Every rank i of y's occurrences lies between x's ranks i - d' and
     i + d', out-of-range ranks meaning -inf and +inf."""
     if not is_connected(tg.base):
-        return LemmaReport(INTERLEAVING, False, True, (), "underlying graph is disconnected")
+        return LemmaReport(INTERLEAVING, False, (), "underlying graph is disconnected")
     distances = reference_distances(tg.base)
     occurrences = tg.word.occurrences
     violations = []
@@ -479,15 +472,13 @@ def reference_interleaving(tg):
             for i, position in enumerate(occurrences[y], start=1):
                 if not chi_at(i - spread) <= position <= chi_at(i + spread):
                     violations.append((x.token, y.token, i))
-    return LemmaReport(INTERLEAVING, True, not violations, tuple(violations))
+    return LemmaReport(INTERLEAVING, True, tuple(violations))
 
 
 def reference_occurrence_balance(tg):
     """Every pair's occurrence counts differ by at most their distance."""
     if not is_connected(tg.base):
-        return LemmaReport(
-            OCCURRENCE_BALANCE, False, True, (), "underlying graph is disconnected"
-        )
+        return LemmaReport(OCCURRENCE_BALANCE, False, (), "underlying graph is disconnected")
     distances = reference_distances(tg.base)
     counts = {v: len(tg.word.occurrences[v]) for v in tg.base.vertices}
     violations = [
@@ -495,7 +486,7 @@ def reference_occurrence_balance(tg):
         for x, y in itertools.combinations(tg.base.vertices, 2)
         if abs(counts[x] - counts[y]) > distances[x][y]
     ]
-    return LemmaReport(OCCURRENCE_BALANCE, True, not violations, tuple(violations))
+    return LemmaReport(OCCURRENCE_BALANCE, True, tuple(violations))
 
 
 def witness_kinds(report):
@@ -534,6 +525,10 @@ def assert_matches_reference(tg):
     for report, expected in reports:
         assert report == expected, (str(tg.word), tg.start_points)
     assert_letter_gaps_match(tg, ref.letters)
+    assert tg.letter_times.keys() == set(tg.base.vertices)
+    for v, times in tg.letter_times.items():
+        assert len(times) == len(tg.word.occurrences[v])
+        assert sorted(set(times)) == [t for t, ls in enumerate(ref.letters, start=1) if v in ls]
     for t in range(1, tg.lifetime + 1):
         assert edges_at(tg, t) == ref.active[t - 1]
     for e in tg.base.edges:

@@ -117,5 +117,5 @@ def test_disconnected_word_gets_the_five_vacuous_reports():
         (UNION_WINDOWS, disconnected),
     ]
     for report in reports:
-        assert report == LemmaReport(report.lemma_id, False, True, (), report.notes)
+        assert report == LemmaReport(report.lemma_id, False, (), report.notes)
     assert run_all(build_temporal(Word.from_chars("aabb"))) == reports

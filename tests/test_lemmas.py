@@ -142,7 +142,8 @@ class TestRunAll:
 
 class TestLemmaReport:
     def test_pass_mirrors_violations(self):
+        assert LemmaReport("x", True).passed
+        assert not LemmaReport("x", True, (("a", 1),)).passed
+        assert LemmaReport("x", False).passed
         with pytest.raises(ValueError):
-            LemmaReport("x", True, True, (("a", 1),))
-        with pytest.raises(ValueError):
-            LemmaReport("x", False, False, ())
+            LemmaReport("x", False, (("a", 1),))

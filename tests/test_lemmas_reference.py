@@ -186,7 +186,7 @@ def test_non_greedy_start_points_probe():
 PLANTED = [
     # Vertex 1 (degree 3) is a letter at times 1-3 only, of 7: its gap to
     # T+1 = 8 is 5, one more than the window of 4.
-    ("1 1 1 4 3 4 2 2 3 3 3", LemmaReport(LETTER_RECURRENCE, True, False, (("1", 4),))),
+    ("1 1 1 4 3 4 2 2 3 3 3", LemmaReport(LETTER_RECURRENCE, True, (("1", 4),))),
     # Edge (a, b) is active at time 1 only, of 4: a gap of 4, one more than
     # the window of delta + 1 = 3.
     (
@@ -194,14 +194,13 @@ PLANTED = [
         LemmaReport(
             EDGE_RECURRENCE,
             True,
-            False,
             (("delta-window", "a", "b", 2), ("min-degree-window", "a", "b", 2)),
         ),
     ),
-    ("a b b b", LemmaReport(OCCURRENCE_BALANCE, True, False, (("a", "b", 1, 3, 1),))),
+    ("a b b b", LemmaReport(OCCURRENCE_BALANCE, True, (("a", "b", 1, 3, 1),))),
     # b's one occurrence, 3, lies past a's rank 1 + 1 = 2, and a's second
     # lies before b's rank 2 - 1 = 1.
-    ("a a b", LemmaReport(INTERLEAVING, True, False, (("a", "b", 1), ("b", "a", 2)))),
+    ("a a b", LemmaReport(INTERLEAVING, True, (("a", "b", 1), ("b", "a", 2)))),
     # Diameter 1 over 7 timesteps: edges (1, 2) and (2, 4) go dark after
     # time 5, (1, 4) after time 4; no edge of 2, 3 and 4 is active at time 1.
     (
@@ -209,7 +208,6 @@ PLANTED = [
         LemmaReport(
             UNION_WINDOWS,
             True,
-            False,
             (
                 ("first-window", "2", "3"),
                 ("first-window", "2", "4"),

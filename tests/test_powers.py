@@ -23,6 +23,7 @@ powers, ``next_activation``, which searches the root's occurrences, is
 compared at every timestep by ``assert_matches_reference``.
 """
 
+import itertools
 import random
 
 import pytest
@@ -298,16 +299,36 @@ def test_letter_gap_between_the_repeating_copy_and_the_one_before():
     assert_letter_gaps_match(tg, ReferenceActivity(tg).letters)
 
 
-def test_power_with_other_start_points_reads_the_full_word():
+def test_letter_gaps_of_every_short_root_cubed():
+    # Every primitive root of length 2 to 8 over three letters, cubed.
+    # Copies count from 0, as in ``_repeat``. The timeline of a cube
+    # repeats from copy 2 if at all, so its letter gaps read copies 0 to 2,
+    # and the last of them ends the word. On six of these words, ababacbb
+    # and its renamings, a letter's largest gap lies only between its
+    # occurrences in copies 1 and 2.
+    repeats = set()
+    for length in range(2, 9):
+        for letters in itertools.product("abc", repeat=length):
+            root = Word.from_chars(letters)
+            if reference_period(root) < length:
+                continue
+            tg = build_temporal(power(root, 3))
+            repeats.add(tg._repeat)
+            assert_letter_gaps_match(tg, ReferenceActivity(tg).letters)
+    assert repeats == {None, 2}
+
+
+def test_power_with_other_start_points_reads_every_copy():
     # Only build_temporal knows that its start points are the greedy ones,
-    # so a power over random start points fills its letter times for its
-    # letter gaps, and still matches the references.
+    # so a power over random start points reads its letter gaps from every
+    # copy of its root, without filling its letter times, and still
+    # matches the references.
     rng = random.Random(29)
     word = power(path_word(6), 6)
     greedy = build_temporal(word)
     assert greedy._repeat is not None
     tg = TemporalGraph(word, random_start_points(rng, len(word)), greedy.base)
     assert tg._repeat is None
+    assert_letter_gaps_match(tg, ReferenceActivity(tg).letters)
     assert "letter_times" not in vars(tg)
-    assert tg.letter_gaps and "letter_times" in vars(tg)
     assert_matches_reference(tg)
