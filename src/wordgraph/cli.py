@@ -173,7 +173,6 @@ def _cmd_bench(args) -> int:
             d_param = n // args.ratio
         k = _parse_power_mode(args.power_mode, n)
         rows.append(_bench_row(args.family, n, d_param, k))
-    rows.sort(key=lambda r: (r["family"], r["n"], r["k"]))
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=BENCH_COLUMNS)
     writer.writeheader()

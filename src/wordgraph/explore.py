@@ -111,17 +111,18 @@ def schedule_explore(tg: TemporalGraph, start: Symbol) -> ExplorationResult:
     steps: list[Step] = []
     waits: list[int] = []
     now = 0
-    for u, v in spanning_walk(tg.base, start):
+    walk = spanning_walk(tg.base, start)
+    for u, v in walk:
         t = next_activation(tg, (u, v), now)
         if t is None:
             break
         waits.append(t - now - 1)
         steps.append(((u, v), t))
         now = t
-    schedule = Schedule(start, tuple(steps))
+    # The walk ends at its last first-visit: only a full schedule visits all.
     return ExplorationResult(
-        schedule=schedule,
-        visited_all=schedule.visited() == frozenset(tg.base.vertices),
+        schedule=Schedule(start, tuple(steps)),
+        visited_all=len(steps) == len(walk),
         waits=tuple(waits),
     )
 

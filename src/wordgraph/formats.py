@@ -9,6 +9,7 @@ byte-deterministic, and parse/emit round-trips reproduce the same value.
 from __future__ import annotations
 
 import json
+from itertools import pairwise
 from json.encoder import encode_basestring_ascii
 
 from .explore import Schedule
@@ -81,8 +82,8 @@ def _temporal_json(tg: TemporalGraph) -> str:
     tails: dict[tuple[Symbol, ...], str] = {}
     symbols = tg.word.symbols
     timesteps = []
-    for lo, hi in tg.factor_bounds:
-        factor = symbols[lo - 1 : hi]
+    for lo, end in pairwise((*tg.start_points, len(symbols) + 1)):
+        factor = symbols[lo - 1 : end - 1]
         tail = tails.get(factor)
         if tail is None:
             letters = sorted(set(factor))
@@ -94,7 +95,7 @@ def _temporal_json(tg: TemporalGraph) -> str:
                 f'      "edges": {_json_list([blocks[e] for e in edges], 6)}\n    }}'
             )
         timesteps.append(
-            f'{{\n      "range": [\n        {lo},\n        {hi}\n      ],\n{tail}'
+            f'{{\n      "range": [\n        {lo},\n        {end - 1}\n      ],\n{tail}'
         )
     starts = _json_list(list(map(str, tg.start_points)), 2)
     return _graph_json(

@@ -15,6 +15,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
+from itertools import pairwise
 from operator import sub
 
 from .graphs import StaticGraph, build_graph, is_connected, make_edge
@@ -78,12 +79,12 @@ class TemporalGraph:
 
     Activity is derived, never stored: timestep t (1-based) activates every
     edge of ``base`` with an endpoint among the letters of factor t, and
-    position p lies in timestep ``bisect_right(start_points, p)``. Queries
-    bisect occurrences into the start points: ``letter_times`` the word's,
-    ``next_activation`` and ``letter_gaps`` its primitive root's, copy by
-    copy; on a proper power that ``build_temporal`` made, ``letter_gaps``
-    reads one cycle of the timeline. Immutable after construction; all
-    queries are read-only.
+    position p lies in timestep ``bisect_right(start_points, p)``.
+    ``letter_times``, ``letter_gaps`` and ``next_activation`` bisect the
+    primitive root's occurrences into the start points, copy by copy, and
+    ``always_connected`` walks consecutive start points; on a proper power
+    that ``build_temporal`` made, ``letter_gaps`` reads one cycle of the
+    timeline. Immutable after construction; all queries are read-only.
 
     The base's vertices are the word's letters, and the start points rise
     from 1 within the word; they need not be the greedy ones.
@@ -98,20 +99,16 @@ class TemporalGraph:
         return len(self.start_points)
 
     @cached
-    def factor_bounds(self) -> tuple[tuple[int, int], ...]:
-        """Closed 1-based position interval of every factor."""
-        ends = tuple(s - 1 for s in self.start_points[1:]) + (len(self.word),)
-        return tuple(zip(self.start_points, ends))
-
-    @cached
     def letter_times(self) -> dict[Symbol, tuple[int, ...]]:
         """Timesteps whose factor holds each vertex, one per occurrence;
         strictly increasing unless non-greedy start points repeat a letter
         inside a factor."""
         starts = self.start_points
+        word = self.word
+        copies = range(0, len(word.symbols), word._period)
         return {
-            v: tuple([bisect_right(starts, p) for p in positions])
-            for v, positions in self.word.occurrences.items()
+            v: tuple([bisect_right(starts, c + p) for c in copies for p in roots])
+            for v, roots in word._root_occurrences.items()
         }
 
     @cached
@@ -172,8 +169,8 @@ class TemporalGraph:
         n = len(self.base.vertices)
         symbols = self.word.symbols
         searched = set()
-        for lo, hi in self.factor_bounds:
-            factor = symbols[lo - 1 : hi]
+        for lo, end in pairwise((*self.start_points, len(symbols) + 1)):
+            factor = symbols[lo - 1 : end - 1]
             if factor in searched:
                 continue
             searched.add(factor)

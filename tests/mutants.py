@@ -22,8 +22,11 @@ such graphs and compares every report with the slow references. Its
 first two. The random probe ``test_non_greedy_start_points_probe``, with
 start points other than the greedy ones, runs before it and is the first to
 fail on ``union-windows-reactivation`` and ``gapped-edges-threshold``.
-``spanning-walk-stops-early`` first fails
-``test_cli.py::TestExplore::test_complete_schedule``.
+``schedule_explore`` reads ``visited_all`` off the walk's length, so on
+``spanning-walk-stops-early`` it reports a complete schedule that misses a
+vertex, and ``validate_schedule`` in
+``test_acceptance.py::test_criterion_06_scheduler_soundness`` is the first
+to fail.
 
 ``largest-gap-to-lifetime`` moves the end of the windows that
 ``_uncovered_windows`` scans; the non-greedy probe is the first to fail on
@@ -39,6 +42,14 @@ planted
 ``test_powers.py::test_letter_gap_between_the_repeating_copy_and_the_one_before``;
 with that test deselected, ``test_letter_gaps_of_every_short_root_cubed``
 fails on it.
+``letter-times-one-copy-short`` leaves the root's last copy out of
+``letter_times``; ``test_random_words`` is the first to fail on it.
+``connected-factor-one-long`` and ``json-factor-one-long`` read each factor
+one symbol past its end, in ``always_connected`` and in the temporal JSON.
+On greedy start points the next factor's first symbol already lies in the
+factor, so the extra symbol never changes a letter set: only tests over
+other start points fail on them, ``test_non_greedy_start_points_probe``
+first.
 On words every base edge of a power has equal counts in the root, so only
 a base that is not the word's own tells the root certificate and counts
 apart: ``test_foreign_base_probe`` is the first to fail on
@@ -174,8 +185,26 @@ MUTANTS = [
     (
         "letter-times-bisect-left",
         "temporal.py",
-        "v: tuple([bisect_right(starts, p) for p in positions])",
-        "v: tuple([bisect_right(starts, p - 1) for p in positions])",
+        "v: tuple([bisect_right(starts, c + p) for c in copies for p in roots])",
+        "v: tuple([bisect_right(starts, c + p - 1) for c in copies for p in roots])",
+    ),
+    (
+        "letter-times-one-copy-short",
+        "temporal.py",
+        "copies = range(0, len(word.symbols), word._period)",
+        "copies = range(0, len(word.symbols) - word._period, word._period)",
+    ),
+    (
+        "connected-factor-one-long",
+        "temporal.py",
+        "factor = symbols[lo - 1 : end - 1]",
+        "factor = symbols[lo - 1 : end]",
+    ),
+    (
+        "json-factor-one-long",
+        "formats.py",
+        "factor = symbols[lo - 1 : end - 1]",
+        "factor = symbols[lo - 1 : end]",
     ),
     (
         "cycle-gaps-without-end",

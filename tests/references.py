@@ -11,7 +11,8 @@ from the definition rather than for speed:
 - connectivity and diameter: ``reference_connected`` grows the reached set
   over the edge list, and ``reference_diameter`` relaxes the edge list from
   every vertex;
-- timestep activity: ``edges_at`` gives one timestep's edge set, and
+- timestep activity: ``factor_bounds`` gives each factor's positions from
+  the start points, ``edges_at`` one timestep's edge set, and
   ``ReferenceActivity`` every timestep's letter and edge sets, with window
   checkers that scan them; ``assert_matches_reference`` compares every
   derived query and checker of a temporal graph with them, and
@@ -38,7 +39,7 @@ from collections import deque
 from hypothesis import strategies as st
 
 from wordgraph.formats import emit_graph
-from wordgraph.graphs import Edge, is_connected, make_edge
+from wordgraph.graphs import Edge, make_edge
 from wordgraph.lemmas import (
     EDGE_RECURRENCE,
     INTERLEAVING,
@@ -284,10 +285,19 @@ def layered_edge_oracle(n: int, d: int) -> frozenset[Edge]:
     return frozenset(edges)
 
 
+def factor_bounds(tg):
+    """The closed 1-based position interval of every factor: each runs from
+    its start point to the position before the next one, the last to the
+    end of the word."""
+    starts = tg.start_points
+    ends = [s - 1 for s in starts[1:]] + [len(tg.word)]
+    return list(zip(starts, ends))
+
+
 def edges_at(tg, t):
     """The edge set of timestep ``t``: every base edge incident to a letter
     of factor t."""
-    lo, hi = tg.factor_bounds[t - 1]
+    lo, hi = factor_bounds(tg)[t - 1]
     adjacency = tg.base.adjacency
     return frozenset(
         make_edge(sym, nb) for sym in tg.word.symbols[lo - 1 : hi] for nb in adjacency[sym]
@@ -298,13 +308,11 @@ class ReferenceActivity:
     """Per-timestep letter sets and edge sets of a temporal graph."""
 
     def __init__(self, tg):
-        starts = tg.start_points
-        ends = tuple(s - 1 for s in starts[1:]) + (len(tg.word),)
         adjacency = tg.base.adjacency
         self.tg = tg
         self.letters = []
         self.active = []
-        for lo, hi in zip(starts, ends):
+        for lo, hi in factor_bounds(tg):
             factor = frozenset(tg.word.symbols[lo - 1 : hi])
             self.letters.append(factor)
             self.active.append(
@@ -358,7 +366,7 @@ class ReferenceActivity:
                     "letters": sorted(sym.token for sym in self.letters[t]),
                     "edges": [[u.token, v.token] for u, v in sorted(self.active[t])],
                 }
-                for t, (lo, hi) in enumerate(tg.factor_bounds)
+                for t, (lo, hi) in enumerate(factor_bounds(tg))
             ],
         }
         return json.dumps(doc, indent=2) + "\n"
@@ -405,7 +413,7 @@ class ReferenceActivity:
 
     def union_windows(self):
         tg = self.tg
-        if not is_connected(tg.base):
+        if not reference_connected(tg.base):
             return LemmaReport(UNION_WINDOWS, False, (), "underlying graph is disconnected")
         graph = tg.base
         lifetime = tg.lifetime
@@ -450,7 +458,7 @@ class ReferenceActivity:
 def reference_interleaving(tg):
     """Every rank i of y's occurrences lies between x's ranks i - d' and
     i + d', out-of-range ranks meaning -inf and +inf."""
-    if not is_connected(tg.base):
+    if not reference_connected(tg.base):
         return LemmaReport(INTERLEAVING, False, (), "underlying graph is disconnected")
     distances = reference_distances(tg.base)
     occurrences = tg.word.occurrences
@@ -477,7 +485,7 @@ def reference_interleaving(tg):
 
 def reference_occurrence_balance(tg):
     """Every pair's occurrence counts differ by at most their distance."""
-    if not is_connected(tg.base):
+    if not reference_connected(tg.base):
         return LemmaReport(OCCURRENCE_BALANCE, False, (), "underlying graph is disconnected")
     distances = reference_distances(tg.base)
     counts = {v: len(tg.word.occurrences[v]) for v in tg.base.vertices}

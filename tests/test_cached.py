@@ -23,7 +23,6 @@ FIELDS = {
     Word: ("occurrences", "_period", "_root_occurrences"),
     StaticGraph: ("adjacency", "_connected", "_diameter"),
     TemporalGraph: (
-        "factor_bounds",
         "letter_times",
         "_repeat",
         "letter_gaps",

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from references import edges_at
+from references import edges_at, factor_bounds
 from wordgraph.explore import Schedule, schedule_explore
 from wordgraph.formats import (
     ParseError,
@@ -189,7 +189,7 @@ class TestGraphDocuments:
                 "letters": sorted(set(tokens[lo - 1 : hi])),
                 "edges": [list(edge) for edge in sorted(edges_at(tg, t))],
             }
-            for t, (lo, hi) in enumerate(tg.factor_bounds, start=1)
+            for t, (lo, hi) in enumerate(factor_bounds(tg), start=1)
         ]
         assert emit_graph(tg) == json.dumps(doc, indent=2) + "\n"
         assert emit_graph(tg).isascii()

@@ -41,6 +41,7 @@ from references import (
     assert_matches_reference,
     corpus_words,
     exhaustive_words,
+    factor_bounds,
     family_instances,
     random_start_points,
     reference_diameter,
@@ -88,7 +89,7 @@ def per_edge_temporal_json(tg):
     quoted = {v: encode_basestring_ascii(v) for v in tg.base.vertices}
     symbols = tg.word.symbols
     timesteps = []
-    for (lo, hi), edges in zip(tg.factor_bounds, active):
+    for (lo, hi), edges in zip(factor_bounds(tg), active):
         letters = [quoted[v] for v in sorted(set(symbols[lo - 1 : hi]))]
         timesteps.append(
             f'{{\n      "range": [\n        {lo},\n        {hi}\n      ],\n'

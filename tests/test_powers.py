@@ -41,8 +41,9 @@ from references import (
     reference_period,
     reference_start_points,
 )
+from wordgraph.explore import oracle_explore, schedule_explore, validate_schedule
 from wordgraph.families import layered_word, path_word
-from wordgraph.formats import parse_word_file
+from wordgraph.formats import emit_graph, parse_word_file
 from wordgraph.graphs import build_graph
 from wordgraph.lemmas import run_all
 from wordgraph.temporal import TemporalGraph, build_temporal, start_points
@@ -283,6 +284,29 @@ def test_verify_reads_one_cycle_of_a_power(word):
     assert "letter_times" not in vars(tg)
     assert "occurrences" not in vars(word)
     assert_letter_gaps_match(tg, ReferenceActivity(tg).letters)
+
+
+@pytest.mark.parametrize(
+    "word, start, optimum",
+    [(power(layered_word(12, 6), 12), "(1,1)", 14), (power(path_word(12), 12), "1", 19)],
+    ids=["layered-12-6", "path"],
+)
+def test_no_query_fills_the_full_occurrences_of_a_power(word, start, optimum):
+    # Both optima lie above n - 1, so the oracle searches its twin classes
+    # and reads the letter times. Those, like every other query that maps a
+    # position to its timestep, bisect the root's positions copy by copy.
+    # ``assert_matches_reference`` compares the letter times with the
+    # reference letter sets on every graph it sees.
+    tg = build_temporal(word)
+    start = Symbol(start)
+    result = schedule_explore(tg, start)
+    assert result.visited_all
+    assert validate_schedule(tg, result.schedule) is None
+    assert oracle_explore(tg, start).length == optimum
+    assert all(report.passed for report in run_all(tg))
+    emit_graph(tg)
+    assert "letter_times" in vars(tg)
+    assert "occurrences" not in vars(word)
 
 
 def test_letter_gap_between_the_repeating_copy_and_the_one_before():

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from references import edges_at, words
+from references import edges_at, factor_bounds, words
 from wordgraph.graphs import build_graph
 from wordgraph.temporal import (
     build_temporal,
@@ -13,7 +13,7 @@ from wordgraph.words import Symbol, Word
 
 
 def factors(tg):
-    return [" ".join(tg.word.symbols[lo - 1 : hi]) for lo, hi in tg.factor_bounds]
+    return [" ".join(tg.word.symbols[lo - 1 : hi]) for lo, hi in factor_bounds(tg)]
 
 
 def edge_tokens(edges):
@@ -84,7 +84,7 @@ class TestBuildTemporal:
     @given(words())
     def test_factor_structure(self, w):
         tg = build_temporal(w)
-        for t, (lo, hi) in enumerate(tg.factor_bounds, start=1):
+        for t, (lo, hi) in enumerate(factor_bounds(tg), start=1):
             factor = tg.word.symbols[lo - 1 : hi]
             assert len(factor) == len(set(factor))
             assert frozenset(factor) == {v for v, ts in tg.letter_times.items() if t in ts}
