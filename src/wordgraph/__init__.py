@@ -31,25 +31,13 @@ from .formats import (
 )
 from .graphs import (
     DisconnectedGraphError,
-    Edge,
     StaticGraph,
     build_graph,
     diameter,
     is_connected,
-    make_edge,
-    min_degree,
     spanning_walk,
 )
-from .lemmas import (
-    CHECKS,
-    LemmaReport,
-    check_edge_recurrence,
-    check_interleaving,
-    check_letter_recurrence,
-    check_occurrence_balance,
-    check_union_windows,
-    run_all,
-)
+from .lemmas import CHECKS, LemmaReport, run_all
 from .temporal import (
     TemporalGraph,
     build_temporal,
@@ -65,11 +53,8 @@ __all__ = [
     "Word",
     "power",
     "StaticGraph",
-    "Edge",
-    "make_edge",
     "build_graph",
     "diameter",
-    "min_degree",
     "is_connected",
     "spanning_walk",
     "DisconnectedGraphError",
@@ -90,11 +75,6 @@ __all__ = [
     "LemmaReport",
     "CHECKS",
     "run_all",
-    "check_letter_recurrence",
-    "check_edge_recurrence",
-    "check_occurrence_balance",
-    "check_interleaving",
-    "check_union_windows",
     "ParseError",
     "parse_word_file",
     "emit_word",

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 from .graphs import (
     DisconnectedGraphError,
+    StaticGraph,
     diameter,
     is_connected,
     min_degree,
@@ -194,7 +195,9 @@ def oracle_explore(tg: TemporalGraph, start: Symbol) -> OracleResult:
     visits at most one new vertex, so the unvisited count is a consistent
     lower bound on the time still needed, and the first complete state
     popped is optimal. A completed ``schedule_explore`` run is an upper
-    bound, returned as is when it meets the lower bound ``n - 1``. A popped
+    bound, returned as is when it meets the lower bound ``n - 1``. No move
+    is taken after it, so letter times are read only up to its end and over
+    one cycle of the timeline, never filling ``letter_times``. A popped
     state is skipped when the state with one more member of some class
     visited, in the same current class, was reached no later, which loses
     no optimum.
@@ -223,8 +226,13 @@ def oracle_explore(tg: TemporalGraph, start: Symbol) -> OracleResult:
     if scheduled.visited_all and upper == n - 1:
         return OracleResult(scheduled.schedule)
 
+    # Letter times through the copy of the root that holds the end of
+    # timestep upper, and through one cycle, which decides the twin classes.
+    starts = tg.start_points
+    end = starts[upper] - 1 if upper < len(starts) else len(tg.word.symbols)
+    times = tg._times(max(tg._cycle, -(-end // tg.word._period)))
     members: dict[int, list[int]] = {}
-    for i, f in enumerate(_twin_classes(tg)):
+    for i, f in enumerate(_twin_classes(graph, times)):
         members.setdefault(f, []).append(i)
     groups = list(members.values())
     cls = {vertices[i]: c for c, group in enumerate(groups) for i in group}
@@ -254,9 +262,9 @@ def oracle_explore(tg: TemporalGraph, start: Symbol) -> OracleResult:
 
     # links[c] lists (class d, its unit and field, the count a revisit must
     # exceed, activation times) for each class d joined to c; twins make
-    # every edge between two classes share its times, which end in the
-    # sentinel upper + 1. Each move of an expansion reaches its own state,
-    # so the order of a row does not affect the search.
+    # every edge between two classes share its times, kept up to upper and
+    # then the sentinel upper + 1. Each move of an expansion reaches its own
+    # state, so the order of a row does not affect the search.
     cap = upper + 1
     links: list[list[tuple[int, int, int, int, tuple[int, ...]]]] = []
     for c, group in enumerate(groups):
@@ -265,7 +273,8 @@ def oracle_explore(tg: TemporalGraph, start: Symbol) -> OracleResult:
         for b in graph.adjacency[a]:
             d = cls[b]
             if d not in row:
-                ts = tg.activation_times(a, b) + (cap,)
+                ts = sorted({*times[a], *times[b]})
+                ts = (*ts[: bisect_right(ts, upper)], cap)
                 row[d] = (d, unit[d], field[d], bias[d] + (unit[d] if d == c else 0), ts)
         links.append(list(row.values()))
 
@@ -348,20 +357,22 @@ def oracle_explore(tg: TemporalGraph, start: Symbol) -> OracleResult:
     return OracleResult(Schedule(start, tuple(steps)))
 
 
-def _twin_classes(tg: TemporalGraph) -> list[int]:
+def _twin_classes(graph: StaticGraph, times: dict[Symbol, tuple[int, ...]]) -> list[int]:
     """The temporal twin class of each vertex id, named by its first member.
 
     Two vertices are temporal twins when they share a class of
     ``neighbourhood_classes`` (the same open or closed neighbourhood) and
-    the same ``letter_times``. Their incident edges then have equal
-    activation times, so swapping them is an automorphism of the temporal
-    graph. Equal neighbourhoods alone do not make twins, since different
-    letter times give their edges different activation times. A vertex
-    without twins is a class of its own.
+    the same letter times. Their incident edges then have equal activation
+    times, so swapping them is an automorphism of the temporal graph. Equal
+    neighbourhoods alone do not make twins, since different letter times
+    give their edges different activation times. A vertex without twins is
+    a class of its own. ``times`` may cover only one cycle of the timeline
+    (``TemporalGraph._cycle``): letter times equal there are equal
+    everywhere, since later copies repeat that cycle's timesteps, shifted.
     """
-    vertices = tg.base.vertices
-    first = neighbourhood_classes(tg.base)
-    times = list(map(tg.letter_times.__getitem__, vertices))
+    vertices = graph.vertices
+    first = neighbourhood_classes(graph)
+    times = list(map(times.__getitem__, vertices))
     if list(map(times.__getitem__, first)) != times:
         # A dict built from a reversed list keeps each key's first vertex id.
         keys = list(zip(first, times))

@@ -80,11 +80,11 @@ class TemporalGraph:
     Activity is derived, never stored: timestep t (1-based) activates every
     edge of ``base`` with an endpoint among the letters of factor t, and
     position p lies in timestep ``bisect_right(start_points, p)``.
-    ``letter_times``, ``letter_gaps`` and ``next_activation`` bisect the
-    primitive root's occurrences into the start points, copy by copy, and
-    ``always_connected`` walks consecutive start points; on a proper power
-    that ``build_temporal`` made, ``letter_gaps`` reads one cycle of the
-    timeline. Immutable after construction; all queries are read-only.
+    ``_times`` bisects the primitive root's occurrences in its first copies
+    into the start points: every copy for ``letter_times``, one cycle of
+    the timeline (``_cycle``) for ``letter_gaps``. ``next_activation``
+    searches one copy, and ``always_connected`` walks consecutive start
+    points. Immutable after construction; all queries are read-only.
 
     The base's vertices are the word's letters, and the start points rise
     from 1 within the word; they need not be the greedy ones.
@@ -103,48 +103,50 @@ class TemporalGraph:
         """Timesteps whose factor holds each vertex, one per occurrence;
         strictly increasing unless non-greedy start points repeat a letter
         inside a factor."""
-        starts = self.start_points
         word = self.word
-        copies = range(0, len(word.symbols), word._period)
-        return {
-            v: tuple([bisect_right(starts, c + p) for c in copies for p in roots])
-            for v, roots in word._root_occurrences.items()
-        }
+        return self._times(len(word.symbols) // word._period)
 
     @cached
-    def _repeat(self) -> int | None:
-        """The copy r of the primitive root u at which the greedy scan of
-        u^k enters at an offset it entered an earlier copy at, so that the
-        timeline repeats from there on; None when none repeats, or when
-        the start points may not be the greedy ones. ``build_temporal``
-        stores it for a proper power; any other graph reads None."""
-        return None
+    def _cycle(self) -> int:
+        """The number of copies of the primitive root u in one cycle of the
+        timeline: the greedy scan of u^k enters copy ``_cycle - 1`` at an
+        offset it entered an earlier copy at. ``build_temporal`` stores it when that
+        happens; any other graph reads k, every copy."""
+        word = self.word
+        return len(word.symbols) // word._period
+
+    def _times(self, copies: int) -> dict[Symbol, tuple[int, ...]]:
+        """Each vertex's letter times over the first ``copies`` copies of
+        the primitive root: the timesteps that hold its occurrences there."""
+        starts = self.start_points
+        period = self.word._period
+        bases = range(0, copies * period, period)
+        return {
+            v: tuple([bisect_right(starts, c + p) for c in bases for p in roots])
+            for v, roots in self.word._root_occurrences.items()
+        }
 
     @cached
     def letter_gaps(self) -> dict[Symbol, int]:
         """The largest step between consecutive entries of (0, *times, T + 1)
         for each vertex's letter times: a window of k consecutive timesteps
         inside [1, T] holds none of them exactly when this exceeds k."""
-        lifetime = self.lifetime
-        word = self.word
-        period = word._period
-        repeat = None if period == len(word.symbols) else self._repeat
         # Past the copy at which the scan first entered at the offset it
-        # enters copy ``repeat`` at, each later stretch of as many copies
-        # holds the same timesteps, shifted. So every gap between two
+        # enters copy ``_cycle - 1`` at, each later stretch of as many
+        # copies holds the same timesteps, shifted. So every gap between two
         # consecutive letter times of v is a gap between two of its
-        # occurrences in copies 0 to ``repeat``: the later one lies at most
-        # one copy after the earlier. Without ``repeat`` every copy is read,
-        # and a word that is no proper power is its one copy. The gap to
-        # T + 1 is v's last occurrence's, in the last copy.
+        # occurrences in the first ``_cycle`` copies: the later one lies at
+        # most one copy after the earlier. The gap to T + 1 is v's last
+        # occurrence's, in the last copy.
+        lifetime = self.lifetime
         starts = self.start_points
-        last = len(word.symbols) - period
-        copies = range(0, last + 1 if repeat is None else (repeat + 1) * period, period)
+        word = self.word
+        last = len(word.symbols) - word._period
+        roots = word._root_occurrences
         gaps = {}
-        for v, roots in word._root_occurrences.items():
-            times = [0, *[bisect_right(starts, c + p) for c in copies for p in roots]]
-            end = lifetime + 1 - bisect_right(starts, last + roots[-1])
-            gaps[v] = max(end, *map(sub, times[1:], times))
+        for v, times in self._times(self._cycle).items():
+            end = lifetime + 1 - bisect_right(starts, last + roots[v][-1])
+            gaps[v] = max(end, *map(sub, times, (0, *times)))
         return gaps
 
     def activation_times(self, u: Symbol, v: Symbol) -> tuple[int, ...]:
@@ -192,7 +194,8 @@ class TemporalGraph:
 
 def build_temporal(word: Word) -> TemporalGraph:
     """The temporal graph of ``word``: its greedy start points over its own
-    alternation graph. On a proper power it also stores ``_repeat``."""
+    alternation graph. On a proper power whose timeline repeats it also
+    stores ``_cycle``."""
     base = build_graph(word)
     tg = TemporalGraph(word=word, start_points=start_points(word), base=base)
     period = word._period
@@ -206,7 +209,7 @@ def build_temporal(word: Word) -> TemporalGraph:
         for before in range(period, n, period):
             offset = starts[bisect_right(starts, before) - 1] - before
             if offset in entered:
-                vars(tg)["_repeat"] = before // period
+                vars(tg)["_cycle"] = before // period + 1
                 break
             entered.add(offset)
     return tg

@@ -36,14 +36,34 @@ gaps with the reference letter sets on every graph it sees:
 and, run alone, on ``letter-times-bisect-left``, which in the full run
 first fails ``test_acceptance.py::test_criterion_09_layered_growth_trend``,
 whose oracle reads letter times. Each reading of one cycle of the timeline
-has a mutant. A gap that only the copy at which the timeline repeats holds
-is rare in random powers, so ``cycle-gaps-one-copy-short`` first fails the
-planted
-``test_powers.py::test_letter_gap_between_the_repeating_copy_and_the_one_before``;
-with that test deselected, ``test_letter_gaps_of_every_short_root_cubed``
-fails on it.
+has a mutant. ``cycle-gaps-one-copy-short`` reads the letter gaps from one
+copy fewer than ``_cycle``, unless that is the only copy; as ``_cycle`` is
+every copy of a power whose timeline does not repeat, it also reads those
+short, and ``test_lemmas_reference.py::test_exhaustive_words`` is the first
+to fail on it. A gap that only the copy at which the timeline repeats holds
+is rare in random powers; the planted
+``test_powers.py::test_letter_gap_between_the_repeating_copy_and_the_one_before``
+and ``test_letter_gaps_of_every_short_root_cubed`` each fail on it alone.
+``cycle-one-copy-short`` has ``build_temporal`` store one copy fewer as
+``_cycle``; ``test_powers.py::test_verify_reads_one_cycle_of_a_power`` is
+the first to fail on it.
 ``letter-times-one-copy-short`` leaves the root's last copy out of
 ``letter_times``; ``test_random_words`` is the first to fail on it.
+
+The oracle reads letter times only up to the end of timestep ``upper``, its
+upper bound. ``oracle-times-to-start-of-upper`` reads them only up to the
+copy that holds the first position of that timestep, so a link can miss its
+activation at ``upper``: on path(8)^8 from vertex 8 the oracle then reports
+no walk, although the scheduler finds one of length 13, and
+``test_oracle_reference.py::test_agrees_on_family_instances[path-8^8]`` is
+the first to fail. ``link-times-drop-upper`` keeps each link's times only
+up to ``upper - 1``, so an optimum that equals the scheduler's length is
+lost; ``test_acceptance.py::test_criterion_08_path_growth_trend`` is the
+first to fail. A twin-classes mutant that read one copy fewer than
+``_cycle`` survives tier-1 and is not listed: where ``build_temporal``
+stored ``_cycle``, the timeline repeats from a copy before copy
+``_cycle - 1``, so copies 0 to ``_cycle - 2`` already hold one full period
+and decide the same twin classes.
 ``connected-factor-one-long`` and ``json-factor-one-long`` read each factor
 one symbol past its end, in ``always_connected`` and in the temporal JSON.
 On greedy start points the next factor's first symbol already lies in the
@@ -179,20 +199,20 @@ MUTANTS = [
     (
         "cycle-gaps-one-copy-short",
         "temporal.py",
-        "copies = range(0, last + 1 if repeat is None else (repeat + 1) * period, period)",
-        "copies = range(0, last + 1 if repeat is None else repeat * period, period)",
+        "for v, times in self._times(self._cycle).items():",
+        "for v, times in self._times(max(self._cycle - 1, 1)).items():",
     ),
     (
         "letter-times-bisect-left",
         "temporal.py",
-        "v: tuple([bisect_right(starts, c + p) for c in copies for p in roots])",
-        "v: tuple([bisect_right(starts, c + p - 1) for c in copies for p in roots])",
+        "v: tuple([bisect_right(starts, c + p) for c in bases for p in roots])",
+        "v: tuple([bisect_right(starts, c + p - 1) for c in bases for p in roots])",
     ),
     (
         "letter-times-one-copy-short",
         "temporal.py",
-        "copies = range(0, len(word.symbols), word._period)",
-        "copies = range(0, len(word.symbols) - word._period, word._period)",
+        "return self._times(len(word.symbols) // word._period)",
+        "return self._times(len(word.symbols) // word._period - 1)",
     ),
     (
         "connected-factor-one-long",
@@ -209,8 +229,8 @@ MUTANTS = [
     (
         "cycle-gaps-without-end",
         "temporal.py",
-        "gaps[v] = max(end, *map(sub, times[1:], times))",
-        "gaps[v] = max(map(sub, times[1:], times))",
+        "gaps[v] = max(end, *map(sub, times, (0, *times)))",
+        "gaps[v] = max(map(sub, times, (0, *times)))",
     ),
     (
         "root-certificate-without-count-guard",
@@ -229,6 +249,24 @@ MUTANTS = [
         "graphs.py",
         "while len(seen) < n:",
         "while len(seen) < n - 1:",
+    ),
+    (
+        "cycle-one-copy-short",
+        "temporal.py",
+        'vars(tg)["_cycle"] = before // period + 1',
+        'vars(tg)["_cycle"] = before // period',
+    ),
+    (
+        "oracle-times-to-start-of-upper",
+        "explore.py",
+        "end = starts[upper] - 1 if upper < len(starts) else len(tg.word.symbols)",
+        "end = starts[upper - 1]",
+    ),
+    (
+        "link-times-drop-upper",
+        "explore.py",
+        "ts = (*ts[: bisect_right(ts, upper)], cap)",
+        "ts = (*ts[: bisect_right(ts, upper - 1)], cap)",
     ),
 ]
 

@@ -24,7 +24,7 @@ FIELDS = {
     StaticGraph: ("adjacency", "_connected", "_diameter"),
     TemporalGraph: (
         "letter_times",
-        "_repeat",
+        "_cycle",
         "letter_gaps",
         "always_connected",
     ),
@@ -93,10 +93,10 @@ def test_equality_and_hash_ignore_filled_caches(text):
             fill(filled.base)
         assert set(FIELDS[type(filled)]) <= set(vars(filled))
         # from_tokens stores the period it read on the tokens, and
-        # build_temporal the copy at which a power's timeline repeats.
+        # build_temporal the copies in one cycle of a power's timeline.
         stored = {"_period"} if isinstance(fresh, Word) else set()
         if isinstance(fresh, TemporalGraph) and fresh.word._period < len(fresh.word):
-            stored = {"_repeat"}
+            stored = {"_cycle"}
         assert set(FIELDS[type(fresh)]) & set(vars(fresh)) == stored
         assert filled == fresh and fresh == filled
         assert hash(filled) == before == hash(fresh)

@@ -168,7 +168,7 @@ def test_pruned_witness_on_words_with_injected_twins():
         for start in tg.base.vertices:
             assert_agrees(tg, start)
         checked += 1
-        first = _twin_classes(tg)
+        first = _twin_classes(tg.base, tg.letter_times)
         twinned_words += len(set(first)) < len(first)
     assert checked >= 300
     assert twinned_words >= 20

@@ -274,12 +274,12 @@ def test_root_parsed_powers_match_activity_references():
     ids=["path", "layered-12-4", "layered-24-6"],
 )
 def test_verify_reads_one_cycle_of_a_power(word):
-    # build_temporal keeps the copy at which the greedy timeline repeats,
-    # so the checkers read the letter gaps from the copies up to it, and
+    # build_temporal keeps the number of copies in one cycle of the greedy
+    # timeline, so the checkers read the letter gaps from those copies, and
     # the counts and the interleaving certificate from one copy of the
     # root: neither the letter times nor the full word's occurrences fill.
     tg = build_temporal(word)
-    assert tg._repeat == 2
+    assert tg._cycle == 3
     assert all(report.passed for report in run_all(tg))
     assert "letter_times" not in vars(tg)
     assert "occurrences" not in vars(word)
@@ -287,49 +287,57 @@ def test_verify_reads_one_cycle_of_a_power(word):
 
 
 @pytest.mark.parametrize(
-    "word, start, optimum",
-    [(power(layered_word(12, 6), 12), "(1,1)", 14), (power(path_word(12), 12), "1", 19)],
+    "root, start, optimum",
+    [(layered_word(12, 6), "(1,1)", 14), (path_word(12), "1", 19)],
     ids=["layered-12-6", "path"],
 )
-def test_no_query_fills_the_full_occurrences_of_a_power(word, start, optimum):
+def test_no_query_fills_the_full_occurrences_of_a_power(root, start, optimum):
     # Both optima lie above n - 1, so the oracle searches its twin classes
-    # and reads the letter times. Those, like every other query that maps a
-    # position to its timestep, bisect the root's positions copy by copy.
+    # and reads letter times: through one cycle of the timeline and the
+    # copy that holds the end of its upper bound, never filling
+    # ``letter_times``. Those, like every other query that maps a position
+    # to its timestep, bisect the root's positions copy by copy.
     # ``assert_matches_reference`` compares the letter times with the
     # reference letter sets on every graph it sees.
+    word = power(root, 12)
     tg = build_temporal(word)
     start = Symbol(start)
     result = schedule_explore(tg, start)
     assert result.visited_all
     assert validate_schedule(tg, result.schedule) is None
-    assert oracle_explore(tg, start).length == optimum
+    witness = oracle_explore(tg, start)
+    assert witness.length == optimum
     assert all(report.passed for report in run_all(tg))
     emit_graph(tg)
-    assert "letter_times" in vars(tg)
+    assert "letter_times" not in vars(tg)
     assert "occurrences" not in vars(word)
+    # So on u^1200 the oracle finds the same walk, step for step.
+    tg = build_temporal(power(root, 1200))
+    assert oracle_explore(tg, start) == witness
+    assert "letter_times" not in vars(tg)
 
 
 def test_letter_gap_between_the_repeating_copy_and_the_one_before():
-    # Copies count from 0 here, as in ``_repeat``. The factor open at the
-    # end of copies 0 and 1 starts at their last position, 9 and 18 alike,
-    # so the timeline repeats from copy 2 on. Letter 2 occurs once per
-    # copy, at times 3, 6, 10, 14, 18 of 20: its largest gap, 4, first lies
-    # between its occurrences in copies 1 and 2, so the gaps are read up to
-    # copy 2.
+    # Copies count from 0 here. The factor open at the end of copies 0 and
+    # 1 starts at their last position, 9 and 18 alike, so the timeline
+    # repeats from copy 2 on, and one cycle is copies 0 to 2. Letter 2
+    # occurs once per copy, at times 3, 6, 10, 14, 18 of 20: its largest
+    # gap, 4, first lies between its occurrences in copies 1 and 2, so the
+    # gaps are read up to copy 2.
     word = power(Word.from_tokens("4 1 3 4 3 4 2 3 3".split()), 5)
     tg = build_temporal(word)
-    assert tg._repeat == 2
+    assert tg._cycle == 3
     assert tg.letter_gaps[Symbol("2")] == 4
     assert_letter_gaps_match(tg, ReferenceActivity(tg).letters)
 
 
 def test_letter_gaps_of_every_short_root_cubed():
     # Every primitive root of length 2 to 8 over three letters, cubed.
-    # Copies count from 0, as in ``_repeat``. The timeline of a cube
-    # repeats from copy 2 if at all, so its letter gaps read copies 0 to 2,
-    # and the last of them ends the word. On six of these words, ababacbb
-    # and its renamings, a letter's largest gap lies only between its
-    # occurrences in copies 1 and 2.
+    # Copies count from 0. The timeline of a cube repeats from copy 2 if at
+    # all, so its letter gaps read copies 0 to 2 either way, and the last of
+    # them ends the word. On six of these words, ababacbb and its renamings,
+    # a letter's largest gap lies only between its occurrences in copies 1
+    # and 2.
     repeats = set()
     for length in range(2, 9):
         for letters in itertools.product("abc", repeat=length):
@@ -337,9 +345,10 @@ def test_letter_gaps_of_every_short_root_cubed():
             if reference_period(root) < length:
                 continue
             tg = build_temporal(power(root, 3))
-            repeats.add(tg._repeat)
+            repeats.add("_cycle" in vars(tg))
+            assert tg._cycle == 3
             assert_letter_gaps_match(tg, ReferenceActivity(tg).letters)
-    assert repeats == {None, 2}
+    assert repeats == {False, True}
 
 
 def test_power_with_other_start_points_reads_every_copy():
@@ -350,9 +359,9 @@ def test_power_with_other_start_points_reads_every_copy():
     rng = random.Random(29)
     word = power(path_word(6), 6)
     greedy = build_temporal(word)
-    assert greedy._repeat is not None
+    assert greedy._cycle < 6
     tg = TemporalGraph(word, random_start_points(rng, len(word)), greedy.base)
-    assert tg._repeat is None
+    assert tg._cycle == 6
     assert_letter_gaps_match(tg, ReferenceActivity(tg).letters)
     assert "letter_times" not in vars(tg)
     assert_matches_reference(tg)

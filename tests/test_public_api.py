@@ -13,7 +13,6 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 PUBLIC_NAMES = [
     "CHECKS",
     "DisconnectedGraphError",
-    "Edge",
     "ExplorationResult",
     "LemmaReport",
     "OracleResult",
@@ -26,11 +25,6 @@ PUBLIC_NAMES = [
     "Word",
     "build_graph",
     "build_temporal",
-    "check_edge_recurrence",
-    "check_interleaving",
-    "check_letter_recurrence",
-    "check_occurrence_balance",
-    "check_union_windows",
     "diameter",
     "emit_graph",
     "emit_reports",
@@ -39,8 +33,6 @@ PUBLIC_NAMES = [
     "exploration_bound",
     "is_connected",
     "layered_word",
-    "make_edge",
-    "min_degree",
     "next_activation",
     "oracle_explore",
     "parse_schedule",
@@ -54,8 +46,9 @@ PUBLIC_NAMES = [
     "validate_schedule",
 ]
 
-# Deleted aliases and wrappers, and the references now kept beside the tests
-# that compare against them.
+# Deleted aliases and wrappers, the references now kept beside the tests
+# that compare against them, and names that only the tests use, which they
+# import from the modules that define them.
 NOT_EXPORTED = [
     "alternates",
     "project",
@@ -68,6 +61,14 @@ NOT_EXPORTED = [
     "predicted_symbol_at",
     "predicted_path_timesteps",
     "layered_edge_oracle",
+    "check_letter_recurrence",
+    "check_edge_recurrence",
+    "check_occurrence_balance",
+    "check_interleaving",
+    "check_union_windows",
+    "Edge",
+    "make_edge",
+    "min_degree",
 ]
 
 

@@ -43,7 +43,7 @@ def classes_of(word):
     tg = build_temporal(word)
     vertices = tg.base.vertices
     members: dict[int, list[int]] = {}
-    for i, f in enumerate(_twin_classes(tg)):
+    for i, f in enumerate(_twin_classes(tg.base, tg.letter_times)):
         members.setdefault(f, []).append(i)
     classes = [
         (tuple(ids), len(ids) > 1 and vertices[ids[1]] in tg.base.adjacency[vertices[ids[0]]])
@@ -110,7 +110,7 @@ def witness_cases():
 def test_witness_takes_the_lowest_id_twin(word):
     tg = build_temporal(word)
     vertices = tg.base.vertices
-    first = _twin_classes(tg)
+    first = _twin_classes(tg.base, tg.letter_times)
     members = [[w for w, f in zip(vertices, first) if f == c] for c in first]
     group = dict(zip(vertices, members))
     for start in vertices:
