@@ -196,16 +196,18 @@ def oracle_explore(tg: TemporalGraph, start: Symbol) -> OracleResult:
     lower bound on the time still needed, and the first complete state
     popped is optimal. A completed ``schedule_explore`` run is an upper
     bound, returned as is when it meets the lower bound ``n - 1``. No move
-    is taken after it, so letter times are read only up to its end and over
-    one cycle of the timeline, never filling ``letter_times``. A popped
-    state is skipped when the state with one more member of some class
-    visited, in the same current class, was reached no later, which loses
-    no optimum.
+    is taken after it, so letter times are read by ``TemporalGraph._times``
+    up to its end and over one cycle of the timeline, never filling
+    ``letter_times``. A popped state is skipped when the state with one more
+    member of some class visited, in the same current class, was reached no
+    later, which loses no optimum.
 
     The witness maps the class path to vertices: a new visit to class d
     takes d's lowest-id unvisited member, a revisit d's lowest-id visited
     member other than the current vertex, each at the link's activation
-    time. Vertex ids follow token order.
+    time. Vertex ids follow token order, and classes the order of their
+    first members; the class order lays out the state keys, and so decides
+    which of several optimal walks is the witness.
 
     Disconnected graphs are infeasible. The search raises
     ``OracleBudgetError`` when it is about to expand a state while storing
@@ -226,15 +228,10 @@ def oracle_explore(tg: TemporalGraph, start: Symbol) -> OracleResult:
     if scheduled.visited_all and upper == n - 1:
         return OracleResult(scheduled.schedule)
 
-    # Letter times through the copy of the root that holds the end of
-    # timestep upper, and through one cycle, which decides the twin classes.
-    starts = tg.start_points
-    end = starts[upper] - 1 if upper < len(starts) else len(tg.word.symbols)
-    times = tg._times(max(tg._cycle, -(-end // tg.word._period)))
-    members: dict[int, list[int]] = {}
-    for i, f in enumerate(_twin_classes(graph, times)):
-        members.setdefault(f, []).append(i)
-    groups = list(members.values())
+    # Letter times over one cycle of the timeline, which decides the twin
+    # classes, and through the end of timestep upper, the last a move takes.
+    times = tg._times(upper)
+    groups = _twin_classes(graph, times)
     cls = {vertices[i]: c for c, group in enumerate(groups) for i in group}
     # A state is keyed by the current class in its low cb bits, and above
     # them one bit field per class, in class order, holding its visited
@@ -357,8 +354,9 @@ def oracle_explore(tg: TemporalGraph, start: Symbol) -> OracleResult:
     return OracleResult(Schedule(start, tuple(steps)))
 
 
-def _twin_classes(graph: StaticGraph, times: dict[Symbol, tuple[int, ...]]) -> list[int]:
-    """The temporal twin class of each vertex id, named by its first member.
+def _twin_classes(graph: StaticGraph, times: dict[Symbol, tuple[int, ...]]) -> list[list[int]]:
+    """The vertex ids grouped into temporal twin classes, in order of first
+    member.
 
     Two vertices are temporal twins when they share a class of
     ``neighbourhood_classes`` (the same open or closed neighbourhood) and
@@ -366,19 +364,16 @@ def _twin_classes(graph: StaticGraph, times: dict[Symbol, tuple[int, ...]]) -> l
     times, so swapping them is an automorphism of the temporal graph. Equal
     neighbourhoods alone do not make twins, since different letter times
     give their edges different activation times. A vertex without twins is
-    a class of its own. ``times`` may cover only one cycle of the timeline
-    (``TemporalGraph._cycle``): letter times equal there are equal
+    a class of its own. ``times`` may be ``TemporalGraph._times(t)`` for
+    any t: letter times equal over one cycle of the timeline are equal
     everywhere, since later copies repeat that cycle's timesteps, shifted.
     """
     vertices = graph.vertices
-    first = neighbourhood_classes(graph)
-    times = list(map(times.__getitem__, vertices))
-    if list(map(times.__getitem__, first)) != times:
-        # A dict built from a reversed list keeps each key's first vertex id.
-        keys = list(zip(first, times))
-        ids = range(len(vertices))[::-1]
-        first = list(map(dict(zip(keys[::-1], ids)).__getitem__, keys))
-    return first
+    split: dict[tuple, list[int]] = {}
+    for c, group in enumerate(neighbourhood_classes(graph)):
+        for i in group:
+            split.setdefault((c, times[vertices[i]]), []).append(i)
+    return sorted(split.values())
 
 
 def exploration_bound(tg: TemporalGraph) -> tuple[int, int]:

@@ -102,9 +102,8 @@ class StaticGraph:
         if len(self.edges) == len(vertices) - 1:
             return max(_bfs_distances(self, far).values())
         return max(
-            max(_bfs_distances(self, vertices[i]).values())
-            for i, first in enumerate(neighbourhood_classes(self))
-            if i == first
+            max(_bfs_distances(self, vertices[group[0]]).values())
+            for group in neighbourhood_classes(self)
         )
 
     def require_vertex(self, v: Symbol) -> None:
@@ -145,24 +144,24 @@ def build_graph(word: Word) -> StaticGraph:
     return StaticGraph(tuple(sorted(occurrences)), frozenset(edges))
 
 
-def neighbourhood_classes(graph: StaticGraph) -> list[int]:
-    """The class of each vertex id, named by its first member: vertices
-    with the same open neighbourhood, N(u) = N(v), or the same closed one,
-    N[u] = N[v] (then they are adjacent). A vertex alone in its class names
-    itself."""
-    vertices = graph.vertices
-    opened = list(map(graph.adjacency.__getitem__, vertices))
-    closed = list(map(frozenset.union, opened, zip(vertices)))
-    # A dict built from a reversed list keeps each key's first vertex id.
-    ids = range(len(vertices))[::-1]
-    first_open = dict(zip(opened[::-1], ids))
-    first_closed = dict(zip(closed[::-1], ids))
-    # A vertex v with an open twin w has no closed twin x: x would be a
-    # neighbour of w, so w would be in N[x] = N[v]. One of the two firsts
-    # is therefore v itself, and the smaller one names its class.
-    return list(
-        map(min, map(first_open.__getitem__, opened), map(first_closed.__getitem__, closed))
-    )
+def neighbourhood_classes(graph: StaticGraph) -> list[list[int]]:
+    """Vertex ids grouped in order of first member: vertices with the same
+    open neighbourhood, N(u) = N(v), or the same closed one, N[u] = N[v]
+    (then they are adjacent). A vertex alone in its class is a group of one."""
+    # An open neighbourhood N(v) = N[u] would hold u, so v would lie in N[u]
+    # but not in N(v): one dict keys both kinds. A vertex v with an open
+    # twin w has no closed twin x, since w would lie in N[x] = N[v].
+    keyed: dict[frozenset[Symbol], list[int]] = {}
+    groups = []
+    for i, v in enumerate(graph.vertices):
+        opened = graph.adjacency[v]
+        closed = opened | {v}
+        group = keyed.get(opened) or keyed.get(closed)
+        if group is None:
+            group = keyed[opened] = keyed[closed] = []
+            groups.append(group)
+        group.append(i)
+    return groups
 
 
 def _bfs_distances(graph: StaticGraph, source: Symbol) -> dict[Symbol, int]:

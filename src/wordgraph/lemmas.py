@@ -65,23 +65,18 @@ class LemmaReport:
         return not self.violations
 
 
-def _checked(lemma_id: str, violations: list[tuple], notes: str = "") -> LemmaReport:
-    return LemmaReport(lemma_id, True, tuple(violations), notes)
-
-
-def _vacuous(lemma_id: str, note: str) -> LemmaReport:
-    return LemmaReport(lemma_id, False, (), note)
-
-
 # A checker whose connectivity precondition fails reports the same thing on
 # every input, and reports are frozen with immutable fields, so these are
 # built once and shared.
 _UNMET = {
-    LETTER_RECURRENCE: _vacuous(LETTER_RECURRENCE, "not connected in every timestep"),
-    EDGE_RECURRENCE: _vacuous(EDGE_RECURRENCE, "not connected in every timestep"),
-    OCCURRENCE_BALANCE: _vacuous(OCCURRENCE_BALANCE, "underlying graph is disconnected"),
-    INTERLEAVING: _vacuous(INTERLEAVING, "underlying graph is disconnected"),
-    UNION_WINDOWS: _vacuous(UNION_WINDOWS, "underlying graph is disconnected"),
+    lemma: LemmaReport(lemma, False, notes=note)
+    for lemma, note in (
+        (LETTER_RECURRENCE, "not connected in every timestep"),
+        (EDGE_RECURRENCE, "not connected in every timestep"),
+        (OCCURRENCE_BALANCE, "underlying graph is disconnected"),
+        (INTERLEAVING, "underlying graph is disconnected"),
+        (UNION_WINDOWS, "underlying graph is disconnected"),
+    )
 }
 
 
@@ -129,7 +124,7 @@ def check_letter_recurrence(tg: TemporalGraph) -> LemmaReport:
     notes = ""
     if unfit:
         notes = "windows exceed the lifetime for: " + ", ".join(sorted(unfit))
-    return _checked(LETTER_RECURRENCE, violations, notes)
+    return LemmaReport(LETTER_RECURRENCE, True, tuple(violations), notes)
 
 
 def check_edge_recurrence(tg: TemporalGraph) -> LemmaReport:
@@ -139,7 +134,7 @@ def check_edge_recurrence(tg: TemporalGraph) -> LemmaReport:
         return _UNMET[EDGE_RECURRENCE]
     lifetime = tg.lifetime
     if not tg.base.edges:
-        return _checked(EDGE_RECURRENCE, [], "no edges to check")
+        return LemmaReport(EDGE_RECURRENCE, True, notes="no edges to check")
     delta = min_degree(tg.base)
     violations: list[tuple] = []
     # delta <= local, so an edge without an uncovered delta-window has no
@@ -152,7 +147,7 @@ def check_edge_recurrence(tg: TemporalGraph) -> LemmaReport:
     # delta <= local for every edge, so some window fits exactly when a
     # delta-window does.
     notes = "" if lifetime > delta else "no window fits inside the lifetime"
-    return _checked(EDGE_RECURRENCE, violations, notes)
+    return LemmaReport(EDGE_RECURRENCE, True, tuple(violations), notes)
 
 
 def check_occurrence_balance(tg: TemporalGraph) -> LemmaReport:
@@ -166,7 +161,7 @@ def check_occurrence_balance(tg: TemporalGraph) -> LemmaReport:
     # Counts within 1 on every edge bound |count x - count y| by the length
     # of a shortest x-y path, which is their distance (triangle inequality).
     if all(abs(counts[u] - counts[v]) <= 1 for u, v in tg.base.edges):
-        return _checked(OCCURRENCE_BALANCE, [])
+        return LemmaReport(OCCURRENCE_BALANCE, True)
     violations: list[tuple] = []
     vertices = tg.base.vertices
     for i, x in enumerate(vertices):
@@ -175,7 +170,7 @@ def check_occurrence_balance(tg: TemporalGraph) -> LemmaReport:
             gap = abs(counts[x] - counts[y])
             if gap > distance[y]:
                 violations.append((x.token, y.token, counts[x], counts[y], distance[y]))
-    return _checked(OCCURRENCE_BALANCE, violations)
+    return LemmaReport(OCCURRENCE_BALANCE, True, tuple(violations))
 
 
 def _interleaved(chi: tuple[int, ...], psi: tuple[int, ...], spread: int) -> bool:
@@ -215,7 +210,7 @@ def check_interleaving(tg: TemporalGraph) -> LemmaReport:
         abs(len(roots[u]) - len(roots[v])) <= slack and _interleaved(roots[u], roots[v], 1)
         for u, v in tg.base.edges
     ):
-        return _checked(INTERLEAVING, [])
+        return LemmaReport(INTERLEAVING, True)
     occurrences = word.occurrences
     violations: list[tuple] = []
     for x in tg.base.vertices:
@@ -241,7 +236,7 @@ def check_interleaving(tg: TemporalGraph) -> LemmaReport:
             for i, position in enumerate(psi, start=1):
                 if not chi_at(i - spread) <= position <= chi_at(i + spread):
                     violations.append((x.token, y.token, i))
-    return _checked(INTERLEAVING, violations)
+    return LemmaReport(INTERLEAVING, True, tuple(violations))
 
 
 def check_union_windows(tg: TemporalGraph) -> LemmaReport:
@@ -283,14 +278,12 @@ def check_union_windows(tg: TemporalGraph) -> LemmaReport:
     violations += [("window-union", t, u.token, v.token) for t, u, v in sorted(uncovered)]
 
     if len(skipped) == 3:
-        return _vacuous(
-            UNION_WINDOWS,
-            f"diameter {dia} exceeds lifetime {lifetime}: no window fits",
-        )
+        note = f"diameter {dia} exceeds lifetime {lifetime}: no window fits"
+        return LemmaReport(UNION_WINDOWS, False, notes=note)
     notes = ""
     if skipped:
         notes = "skipped (window does not fit): " + ", ".join(skipped)
-    return _checked(UNION_WINDOWS, violations, notes)
+    return LemmaReport(UNION_WINDOWS, True, tuple(violations), notes)
 
 
 CHECKS = {

@@ -80,11 +80,12 @@ class TemporalGraph:
     Activity is derived, never stored: timestep t (1-based) activates every
     edge of ``base`` with an endpoint among the letters of factor t, and
     position p lies in timestep ``bisect_right(start_points, p)``.
-    ``_times`` bisects the primitive root's occurrences in its first copies
-    into the start points: every copy for ``letter_times``, one cycle of
-    the timeline (``_cycle``) for ``letter_gaps``. ``next_activation``
-    searches one copy, and ``always_connected`` walks consecutive start
-    points. Immutable after construction; all queries are read-only.
+    ``_times(t)`` bisects the primitive root's occurrences in one cycle of
+    the timeline (``_cycle``), and in every copy through timestep t, into
+    the start points: ``letter_times`` reads ``_times(T)`` and
+    ``letter_gaps`` ``_times(0)``. ``next_activation`` searches one copy,
+    and ``always_connected`` walks consecutive start points. Immutable
+    after construction; all queries are read-only.
 
     The base's vertices are the word's letters, and the start points rise
     from 1 within the word; they need not be the greedy ones.
@@ -103,8 +104,7 @@ class TemporalGraph:
         """Timesteps whose factor holds each vertex, one per occurrence;
         strictly increasing unless non-greedy start points repeat a letter
         inside a factor."""
-        word = self.word
-        return self._times(len(word.symbols) // word._period)
+        return self._times(self.lifetime)
 
     @cached
     def _cycle(self) -> int:
@@ -115,15 +115,19 @@ class TemporalGraph:
         word = self.word
         return len(word.symbols) // word._period
 
-    def _times(self, copies: int) -> dict[Symbol, tuple[int, ...]]:
-        """Each vertex's letter times over the first ``copies`` copies of
-        the primitive root: the timesteps that hold its occurrences there."""
+    def _times(self, t: int) -> dict[Symbol, tuple[int, ...]]:
+        """Each vertex's letter times over one cycle of the timeline and
+        every copy of the primitive root up to the one that holds the end
+        of timestep ``t``: the timesteps that hold its occurrences there.
+        ``t`` = 0 reads one cycle, and ``t`` = T every copy."""
         starts = self.start_points
-        period = self.word._period
-        bases = range(0, copies * period, period)
+        word = self.word
+        period = word._period
+        end = starts[t] - 1 if t < len(starts) else len(word.symbols)
+        bases = range(0, max(self._cycle * period, end), period)
         return {
             v: tuple([bisect_right(starts, c + p) for c in bases for p in roots])
-            for v, roots in self.word._root_occurrences.items()
+            for v, roots in word._root_occurrences.items()
         }
 
     @cached
@@ -135,16 +139,16 @@ class TemporalGraph:
         # enters copy ``_cycle - 1`` at, each later stretch of as many
         # copies holds the same timesteps, shifted. So every gap between two
         # consecutive letter times of v is a gap between two of its
-        # occurrences in the first ``_cycle`` copies: the later one lies at
-        # most one copy after the earlier. The gap to T + 1 is v's last
-        # occurrence's, in the last copy.
+        # occurrences in one cycle, the first ``_cycle`` copies: the later
+        # one lies at most one copy after the earlier. The gap to T + 1 is
+        # v's last occurrence's, in the last copy.
         lifetime = self.lifetime
         starts = self.start_points
         word = self.word
         last = len(word.symbols) - word._period
         roots = word._root_occurrences
         gaps = {}
-        for v, times in self._times(self._cycle).items():
+        for v, times in self._times(0).items():
             end = lifetime + 1 - bisect_right(starts, last + roots[v][-1])
             gaps[v] = max(end, *map(sub, times, (0, *times)))
         return gaps

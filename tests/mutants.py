@@ -35,35 +35,48 @@ gaps with the reference letter sets on every graph it sees:
 ``test_random_words`` is the first to fail on ``cycle-gaps-without-end``,
 and, run alone, on ``letter-times-bisect-left``, which in the full run
 first fails ``test_acceptance.py::test_criterion_09_layered_growth_trend``,
-whose oracle reads letter times. Each reading of one cycle of the timeline
-has a mutant. ``cycle-gaps-one-copy-short`` reads the letter gaps from one
-copy fewer than ``_cycle``, unless that is the only copy; as ``_cycle`` is
-every copy of a power whose timeline does not repeat, it also reads those
-short, and ``test_lemmas_reference.py::test_exhaustive_words`` is the first
-to fail on it. A gap that only the copy at which the timeline repeats holds
-is rare in random powers; the planted
+whose oracle reads letter times.
+
+``TemporalGraph._times(t)`` reads one cycle of the timeline and every copy
+of the root through the end of timestep t, and each of its three readings
+has a mutant. ``letter-times-one-copy-short`` ends the reading through the
+last timestep one copy early, which leaves the root's last copy out of
+``letter_times``; ``test_random_words`` is the first to fail on it.
+``cycle-gaps-one-copy-short`` reads one cycle as one copy fewer than
+``_cycle``, unless that is the only copy, so ``letter_gaps``, which reads
+``_times(0)``, reads short. As ``_cycle`` is every copy of a power whose
+timeline does not repeat, it also reads those short, and
+``test_lemmas_reference.py::test_exhaustive_words`` is the first to fail on
+it. A gap that only the copy at which the timeline repeats holds is rare in
+random powers; the planted
 ``test_powers.py::test_letter_gap_between_the_repeating_copy_and_the_one_before``
 and ``test_letter_gaps_of_every_short_root_cubed`` each fail on it alone.
 ``cycle-one-copy-short`` has ``build_temporal`` store one copy fewer as
 ``_cycle``; ``test_powers.py::test_verify_reads_one_cycle_of_a_power`` is
 the first to fail on it.
-``letter-times-one-copy-short`` leaves the root's last copy out of
-``letter_times``; ``test_random_words`` is the first to fail on it.
 
-The oracle reads letter times only up to the end of timestep ``upper``, its
-upper bound. ``oracle-times-to-start-of-upper`` reads them only up to the
-copy that holds the first position of that timestep, so a link can miss its
-activation at ``upper``: on path(8)^8 from vertex 8 the oracle then reports
-no walk, although the scheduler finds one of length 13, and
-``test_oracle_reference.py::test_agrees_on_family_instances[path-8^8]`` is
-the first to fail. ``link-times-drop-upper`` keeps each link's times only
-up to ``upper - 1``, so an optimum that equals the scheduler's length is
-lost; ``test_acceptance.py::test_criterion_08_path_growth_trend`` is the
-first to fail. A twin-classes mutant that read one copy fewer than
-``_cycle`` survives tier-1 and is not listed: where ``build_temporal``
-stored ``_cycle``, the timeline repeats from a copy before copy
-``_cycle - 1``, so copies 0 to ``_cycle - 2`` already hold one full period
-and decide the same twin classes.
+The oracle reads ``_times(upper)``, up to the end of timestep ``upper``, its
+upper bound. ``oracle-times-to-start-of-upper`` reads ``_times(upper - 1)``,
+so a link can miss its activation at ``upper``: on path(8)^8 from vertex 8
+the oracle then reports no walk, although the scheduler finds one of length
+13, and ``test_oracle_reference.py::test_agrees_on_family_instances[path-8^8]``
+is the first to fail. ``link-times-drop-upper`` keeps each link's times
+only up to ``upper - 1``, so an optimum that equals the scheduler's length
+is lost; ``test_acceptance.py::test_criterion_08_path_growth_trend`` is the
+first to fail. The twin classes read one cycle through ``_times`` too, and
+read one copy short they are unchanged: where ``build_temporal`` stored
+``_cycle``, the timeline repeats from a copy before copy ``_cycle - 1``, so
+copies 0 to ``_cycle - 2`` already hold one full period.
+
+``twin-classes-ignore-letter-times`` joins vertices with equal
+neighbourhoods but different letter times, and
+``test_oracle_reference.py::test_agrees_on_the_small_corpus`` is the first
+to fail on it. ``twin-classes-unsorted`` leaves the twin classes in the
+order the neighbourhood classes split into them, not in order of first
+member. That moves the oracle's bit fields, and so, among equal optima,
+its witness; only the pinned
+``test_twin_quotient.py::test_witness_on_neighbourhood_classes_split_by_letter_times``
+fails on it.
 ``connected-factor-one-long`` and ``json-factor-one-long`` read each factor
 one symbol past its end, in ``always_connected`` and in the temporal JSON.
 On greedy start points the next factor's first symbol already lies in the
@@ -157,8 +170,14 @@ MUTANTS = [
     (
         "twin-classes-ignore-letter-times",
         "explore.py",
-        "if list(map(times.__getitem__, first)) != times:",
-        "if False:",
+        "split.setdefault((c, times[vertices[i]]), []).append(i)",
+        "split.setdefault((c, ()), []).append(i)",
+    ),
+    (
+        "twin-classes-unsorted",
+        "explore.py",
+        "return sorted(split.values())",
+        "return list(split.values())",
     ),
     (
         "dominance-one-step-late",
@@ -199,8 +218,8 @@ MUTANTS = [
     (
         "cycle-gaps-one-copy-short",
         "temporal.py",
-        "for v, times in self._times(self._cycle).items():",
-        "for v, times in self._times(max(self._cycle - 1, 1)).items():",
+        "bases = range(0, max(self._cycle * period, end), period)",
+        "bases = range(0, max(self._cycle * period - period, end, period), period)",
     ),
     (
         "letter-times-bisect-left",
@@ -211,8 +230,8 @@ MUTANTS = [
     (
         "letter-times-one-copy-short",
         "temporal.py",
-        "return self._times(len(word.symbols) // word._period)",
-        "return self._times(len(word.symbols) // word._period - 1)",
+        "end = starts[t] - 1 if t < len(starts) else len(word.symbols)",
+        "end = starts[t] - 1 if t < len(starts) else len(word.symbols) - period",
     ),
     (
         "connected-factor-one-long",
@@ -259,8 +278,8 @@ MUTANTS = [
     (
         "oracle-times-to-start-of-upper",
         "explore.py",
-        "end = starts[upper] - 1 if upper < len(starts) else len(tg.word.symbols)",
-        "end = starts[upper - 1]",
+        "times = tg._times(upper)",
+        "times = tg._times(upper - 1)",
     ),
     (
         "link-times-drop-upper",

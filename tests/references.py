@@ -20,7 +20,8 @@ from the definition rather than for speed:
 - the pair lemmas: ``reference_interleaving`` walks every vertex pair rank by
   rank, and ``reference_occurrence_balance`` compares every pair's counts;
 - the exact optimum: ``reference_oracle`` is plain Dijkstra over concrete
-  (visited set, vertex) states;
+  (visited set, vertex) states, and ``assert_agrees`` compares
+  ``oracle_explore`` with it;
 - the families: ``predicted_path_timesteps`` and ``layered_edge_oracle`` are
   closed forms written apart from the generators.
 
@@ -38,6 +39,7 @@ from collections import deque
 
 from hypothesis import strategies as st
 
+from wordgraph.explore import oracle_explore, validate_schedule
 from wordgraph.formats import emit_graph
 from wordgraph.graphs import Edge, make_edge
 from wordgraph.lemmas import (
@@ -594,3 +596,16 @@ def reference_oracle(tg, start):
                 earliest[state] = ts[i]
                 heapq.heappush(heap, (ts[i], *state))
     return None, earliest
+
+
+def assert_agrees(tg, start):
+    """Compare ``oracle_explore`` with ``reference_oracle``; return its
+    result."""
+    expected, _ = reference_oracle(tg, start)
+    result = oracle_explore(tg, start)
+    assert result.length == expected
+    assert result.feasible == (expected is not None)
+    if result.feasible:
+        assert validate_schedule(tg, result.schedule) is None
+        assert result.schedule.start == start
+    return result

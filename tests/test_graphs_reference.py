@@ -18,10 +18,10 @@ corpus and on hand-built graphs at and around that edge count.
 from the far vertex the connectivity search reached last, and otherwise
 one search per class of vertices with equal open or closed neighbourhoods
 (``neighbourhood_classes``), never one search per vertex. It must agree
-with ``reference_diameter`` on the corpus, on the same hand-built graphs,
-and on twin-rich graphs that are not trees: complete-word and layered
-powers, complete bipartite and multipartite graphs, and two cliques that
-share a vertex.
+with ``reference_diameter`` on the corpus, on the same hand-built graphs
+and path powers, and on twin-rich graphs that are not trees: complete-word
+and layered powers, complete bipartite and multipartite graphs, and two
+cliques that share a vertex.
 """
 
 import random
@@ -168,8 +168,11 @@ def test_diameter_on_corpus_words(corpus_graphs):
 
 def test_diameter_on_built_graphs():
     # Single vertices, trees, forests, trees with extra edges, random edge
-    # sets, and a clique beside isolated vertices.
-    for graph in connectivity_probes(random.Random(12), 400):
+    # sets, a clique beside isolated vertices, and the paths of path(n)^n,
+    # whose diameter is n - 1.
+    paths = [build_graph(power(path_word(n), n)) for n in (3, 4, 9)]
+    assert [reference_diameter(graph) for graph in paths] == [2, 3, 8]
+    for graph in connectivity_probes(random.Random(12), 400) + paths:
         assert_diameter_matches_reference(graph)
 
 
@@ -215,14 +218,8 @@ def test_diameter_on_twin_rich_graphs():
     assert len(built) == 39
     for graph in built:
         assert is_connected(graph) and len(graph.edges) > len(graph.vertices) - 1
-        assert len(set(neighbourhood_classes(graph))) < len(graph.vertices)
+        assert len(neighbourhood_classes(graph)) < len(graph.vertices)
         assert_diameter_matches_reference(graph)
-
-
-def test_path_power_diameter_is_n_minus_1():
-    for n in (3, 4, 9):
-        graph = build_graph(power(path_word(n), n))
-        assert diameter(graph) == n - 1
 
 
 def counted_searches(monkeypatch):
