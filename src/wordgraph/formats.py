@@ -13,7 +13,7 @@ from itertools import pairwise
 from json.encoder import encode_basestring_ascii
 
 from .explore import Schedule
-from .graphs import StaticGraph
+from .graphs import Edge, StaticGraph
 from .lemmas import LemmaReport
 from .temporal import TemporalGraph
 from .words import Symbol, Word
@@ -51,57 +51,68 @@ def _json_list(items: list[str], indent: int) -> str:
     if not items:
         return "[]"
     pad = "\n" + " " * (indent + 2)
-    return "[" + pad + ("," + pad).join(items) + "\n" + " " * indent + "]"
+    return f"[{pad}{(',' + pad).join(items)}\n{' ' * indent}]"
 
 
-def _graph_json(graph: StaticGraph, tail: str = "") -> str:
-    """The ``indent=2`` JSON object of ``graph``'s vertices and edges, with
-    the rendered members ``tail`` appended."""
+def _graph_json(graph: StaticGraph, edges: list[Edge], *tail: str) -> str:
+    """The ``indent=2`` JSON object of ``graph``'s vertices and its edges,
+    ``edges`` in sorted order, with the rendered members ``tail`` appended.
+    The document is joined once from its pieces."""
     quoted = {v: encode_basestring_ascii(v) for v in graph.vertices}
     vertices = [quoted[v] for v in sorted(graph.vertices)]
-    edges = [
-        f"[\n      {quoted[u]},\n      {quoted[v]}\n    ]" for u, v in sorted(graph.edges)
-    ]
-    return (
-        f'{{\n  "vertices": {_json_list(vertices, 2)},\n'
-        f'  "edges": {_json_list(edges, 2)}{tail}\n}}\n'
+    blocks = [f"[\n      {quoted[u]},\n      {quoted[v]}\n    ]" for u, v in edges]
+    return "".join(
+        [
+            '{\n  "vertices": ',
+            _json_list(vertices, 2),
+            ',\n  "edges": ',
+            _json_list(blocks, 2),
+            *tail,
+            "\n}\n",
+        ]
     )
 
 
 def _temporal_json(tg: TemporalGraph) -> str:
     # A timestep's letters and edges depend only on its factor: the active
-    # edges are the base edges with an endpoint among its letters. So each
-    # distinct factor's tail, and each edge block, is rendered once, and a
-    # timestep adds only its range.
-    adjacency = tg.base.adjacency
-    quoted = {v: encode_basestring_ascii(v) for v in tg.base.vertices}
-    blocks = {
-        (u, v): f"[\n          {quoted[u]},\n          {quoted[v]}\n        ]"
-        for u, v in tg.base.edges
-    }
+    # edges are the base edges with an endpoint among its letters. The base
+    # edges are sorted once and each vertex lists the indices of its edges,
+    # so a factor's active edges are its letters' edge indices, sorted as
+    # ints. Each distinct factor's tail is rendered once; a timestep adds
+    # its range and a reference to that tail, and the pieces are joined
+    # once, in ``_graph_json``.
+    vertices = sorted(tg.base.vertices)
+    rank = {v: r for r, v in enumerate(vertices)}
+    quoted = list(map(encode_basestring_ascii, vertices))
+    edges = sorted(tg.base.edges)
+    incident: list[list[int]] = [[] for _ in vertices]
+    blocks = []
+    for i, (u, v) in enumerate(edges):
+        ru, rv = rank[u], rank[v]
+        incident[ru].append(i)
+        incident[rv].append(i)
+        blocks.append(f"[\n          {quoted[ru]},\n          {quoted[rv]}\n        ]")
     tails: dict[tuple[Symbol, ...], str] = {}
     symbols = tg.word.symbols
-    timesteps = []
+    starts = _json_list(list(map(str, tg.start_points)), 2)
+    pieces = [f',\n  "start_points": {starts},\n  "timesteps": [']
     for lo, end in pairwise((*tg.start_points, len(symbols) + 1)):
         factor = symbols[lo - 1 : end - 1]
         tail = tails.get(factor)
         if tail is None:
-            letters = sorted(set(factor))
-            edges = sorted(
-                {(v, u) if v < u else (u, v) for v in letters for u in adjacency[v]}
-            )
+            letters = sorted({rank[v] for v in factor})
+            active = sorted({i for r in letters for i in incident[r]})
             tail = tails[factor] = (
-                f'      "letters": {_json_list([quoted[v] for v in letters], 6)},\n'
-                f'      "edges": {_json_list([blocks[e] for e in edges], 6)}\n    }}'
+                f'      "letters": {_json_list([quoted[r] for r in letters], 6)},\n'
+                f'      "edges": {_json_list([blocks[i] for i in active], 6)}\n    }}'
             )
-        timesteps.append(
-            f'{{\n      "range": [\n        {lo},\n        {end - 1}\n      ],\n{tail}'
+        pieces += (
+            f'\n    {{\n      "range": [\n        {lo},\n        {end - 1}\n      ],\n',
+            tail,
+            ",",
         )
-    starts = _json_list(list(map(str, tg.start_points)), 2)
-    return _graph_json(
-        tg.base,
-        f',\n  "start_points": {starts},\n  "timesteps": {_json_list(timesteps, 2)}',
-    )
+    pieces[-1] = "\n  ]"
+    return _graph_json(tg.base, edges, *pieces)
 
 
 def _dot_id(sym: Symbol) -> str:
@@ -129,7 +140,7 @@ def emit_graph(obj: StaticGraph | TemporalGraph, fmt: str = "json") -> str:
     if fmt == "json":
         if isinstance(obj, TemporalGraph):
             return _temporal_json(obj)
-        return _graph_json(obj)
+        return _graph_json(obj, sorted(obj.edges))
     raise ValueError(f"unknown format: {fmt!r}")
 
 

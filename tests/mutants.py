@@ -82,7 +82,14 @@ one symbol past its end, in ``always_connected`` and in the temporal JSON.
 On greedy start points the next factor's first symbol already lies in the
 factor, so the extra symbol never changes a letter set: only tests over
 other start points fail on them, ``test_non_greedy_start_points_probe``
-first.
+first. The temporal JSON reads each distinct factor's active edges from the
+edge indices at its letters: ``json-tail-keyed-by-first-letter`` reuses one
+factor's tail for another that opens with the same letter, and
+``test_formats.py::TestGraphDocuments::test_temporal_json_bytes[path-8]`` is
+the first to fail on it; ``json-active-edges-first-letter-only`` reads the
+edge indices at a factor's first letter only, and
+``test_formats.py::TestGraphDocuments::test_temporal_json_carries_start_points_and_timesteps``
+is the first to fail on it.
 On words every base edge of a power has equal counts in the root, so only
 a base that is not the word's own tells the root certificate and counts
 apart: ``test_foreign_base_probe`` is the first to fail on
@@ -154,18 +161,20 @@ MUTANTS = [
         "formats.py",
         "tail = tails.get(factor)\n"
         "        if tail is None:\n"
-        "            letters = sorted(set(factor))\n"
-        "            edges = sorted(\n"
-        "                {(v, u) if v < u else (u, v) for v in letters for u in adjacency[v]}\n"
-        "            )\n"
+        "            letters = sorted({rank[v] for v in factor})\n"
+        "            active = sorted({i for r in letters for i in incident[r]})\n"
         "            tail = tails[factor] = (",
         "tail = tails.get(factor[0])\n"
         "        if tail is None:\n"
-        "            letters = sorted(set(factor))\n"
-        "            edges = sorted(\n"
-        "                {(v, u) if v < u else (u, v) for v in letters for u in adjacency[v]}\n"
-        "            )\n"
+        "            letters = sorted({rank[v] for v in factor})\n"
+        "            active = sorted({i for r in letters for i in incident[r]})\n"
         "            tail = tails[factor[0]] = (",
+    ),
+    (
+        "json-active-edges-first-letter-only",
+        "formats.py",
+        "active = sorted({i for r in letters for i in incident[r]})",
+        "active = sorted(incident[letters[0]])",
     ),
     (
         "twin-classes-ignore-letter-times",

@@ -17,6 +17,9 @@ from the definition rather than for speed:
   checkers that scan them; ``assert_matches_reference`` compares every
   derived query and checker of a temporal graph with them, and
   ``assert_letter_gaps_match`` the letter gaps and first letter times;
+- the JSON documents: ``graph_doc`` is a static graph's document as Python
+  data, and ``per_edge_temporal_json`` builds the temporal document edge by
+  edge from activation times and renders it with ``json.dumps``;
 - the pair lemmas: ``reference_interleaving`` walks every vertex pair rank by
   rank, and ``reference_occurrence_balance`` compares every pair's counts;
 - the exact optimum: ``reference_oracle`` is plain Dijkstra over concrete
@@ -306,6 +309,40 @@ def edges_at(tg, t):
     )
 
 
+def graph_doc(graph):
+    """A static graph's JSON document as Python data: its vertex tokens and
+    its edges' token pairs, each list sorted."""
+    return {
+        "vertices": sorted(v.token for v in graph.vertices),
+        "edges": [[u.token, v.token] for u, v in sorted(graph.edges)],
+    }
+
+
+def per_edge_temporal_json(tg):
+    """The temporal JSON built as Python data edge by edge, from activation
+    times, and rendered by ``json.dumps``. Each base edge is appended to the
+    edge list of each of its activation times, so walking the edges in
+    order leaves every list in edge order."""
+    active = [[] for _ in range(tg.lifetime)]
+    for u, v in sorted(tg.base.edges):
+        for t in tg.activation_times(u, v):
+            active[t - 1].append([u.token, v.token])
+    symbols = tg.word.symbols
+    doc = {
+        **graph_doc(tg.base),
+        "start_points": list(tg.start_points),
+        "timesteps": [
+            {
+                "range": [lo, hi],
+                "letters": sorted({sym.token for sym in symbols[lo - 1 : hi]}),
+                "edges": edges,
+            }
+            for (lo, hi), edges in zip(factor_bounds(tg), active)
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
 class ReferenceActivity:
     """Per-timestep letter sets and edge sets of a temporal graph."""
 
@@ -359,8 +396,7 @@ class ReferenceActivity:
     def temporal_json(self):
         tg = self.tg
         doc = {
-            "vertices": sorted(v.token for v in tg.base.vertices),
-            "edges": [[u.token, v.token] for u, v in sorted(tg.base.edges)],
+            **graph_doc(tg.base),
             "start_points": list(tg.start_points),
             "timesteps": [
                 {

@@ -8,9 +8,10 @@ the same facts from per-vertex letter times, so ``check_letter_recurrence``,
 ``check_edge_recurrence``, ``check_union_windows``, ``always_connected``,
 ``next_activation`` and the temporal JSON must agree
 with them exactly, witnesses and their order included, and each timestep's
-edges must equal ``edges_at``. ``per_edge_temporal_json`` renders the temporal JSON edge by edge
-from activation times; the library renders each distinct factor once, and
-the two must agree byte for byte.
+edges must equal ``edges_at``. ``per_edge_temporal_json`` (in ``references``)
+builds the temporal JSON as Python data edge by edge from activation times
+and renders it with ``json.dumps``; the library renders each distinct factor
+once and joins the document once, and the two must agree byte for byte.
 ``reference_interleaving`` walks every vertex pair rank by rank and
 ``reference_occurrence_balance`` compares every pair's counts;
 ``check_interleaving`` and ``check_occurrence_balance`` read pairs only when
@@ -30,9 +31,9 @@ a violation path fails a named test rather than one random draw.
 """
 
 import itertools
+import json
 import random
 from collections import Counter, deque
-from json.encoder import encode_basestring_ascii
 
 import pytest
 
@@ -41,15 +42,16 @@ from references import (
     assert_matches_reference,
     corpus_words,
     exhaustive_words,
-    factor_bounds,
     family_instances,
+    graph_doc,
+    per_edge_temporal_json,
     random_start_points,
     reference_diameter,
     reference_distances,
     reference_interleaving,
     short_words,
 )
-from wordgraph.formats import _graph_json, _json_list, emit_graph
+from wordgraph.formats import emit_graph
 from wordgraph.graphs import StaticGraph, is_connected, make_edge
 from wordgraph.lemmas import (
     CHECKS,
@@ -75,32 +77,6 @@ WITNESS_KINDS = {
     "occurrence-balance",
     "interleaving",
 }
-
-
-def per_edge_temporal_json(tg):
-    """The temporal JSON rendered edge by edge: each base edge is rendered
-    once and appended to the timestep list of each of its activation times,
-    so walking the edges in order leaves every list in edge order."""
-    active = [[] for _ in range(tg.lifetime)]
-    for edge in sorted(tg.base.edges):
-        block = _json_list(list(map(encode_basestring_ascii, edge)), 8)
-        for t in tg.activation_times(*edge):
-            active[t - 1].append(block)
-    quoted = {v: encode_basestring_ascii(v) for v in tg.base.vertices}
-    symbols = tg.word.symbols
-    timesteps = []
-    for (lo, hi), edges in zip(factor_bounds(tg), active):
-        letters = [quoted[v] for v in sorted(set(symbols[lo - 1 : hi]))]
-        timesteps.append(
-            f'{{\n      "range": [\n        {lo},\n        {hi}\n      ],\n'
-            f'      "letters": {_json_list(letters, 6)},\n'
-            f'      "edges": {_json_list(edges, 6)}\n    }}'
-        )
-    starts = _json_list(list(map(str, tg.start_points)), 2)
-    return _graph_json(
-        tg.base,
-        f',\n  "start_points": {starts},\n  "timesteps": {_json_list(timesteps, 2)}',
-    )
 
 
 def test_random_words():
@@ -286,8 +262,12 @@ def test_foreign_base_probe():
 
 
 def test_emitter_matches_per_edge_renderer():
-    """The temporal JSON renders each distinct factor once; it must match
-    the per-edge rendering byte for byte, without filling ``letter_times``."""
+    """The temporal JSON renders each distinct factor once and joins the
+    document once; it must match the per-edge rendering byte for byte,
+    without filling ``letter_times``, and the base's JSON must match
+    ``json.dumps`` of ``graph_doc``. Path(48)^48 (~500 KB), layered
+    (48,3)^10 (~660 KB) and the 18-symbol permutation to the 72nd power,
+    whose every timestep holds all 153 edges, are large documents."""
     rng = random.Random(9)
     graphs = [build_temporal(word) for word in corpus_words()]
     graphs += non_greedy_probes(rng, 1500)
@@ -303,11 +283,17 @@ def test_emitter_matches_per_edge_renderer():
         for n in (1, 2, 5, 12)
         for k in (1, 3, 2 * n)
     ]
+    words += [
+        power(path_word(48), 48),
+        power(layered_word(48, 3), 10),
+        power(Word.from_tokens(str(i) for i in range(18)), 72),
+    ]
     graphs += map(build_temporal, words)
     for tg in graphs:
         text = emit_graph(tg)
         assert "letter_times" not in tg.__dict__
         assert text == per_edge_temporal_json(tg), (str(tg.word), tg.start_points)
+        assert emit_graph(tg.base) == json.dumps(graph_doc(tg.base), indent=2) + "\n"
 
 
 def test_spanning_subgraph_probe():
