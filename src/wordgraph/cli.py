@@ -69,16 +69,14 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_explore(args) -> int:
-    word = _load_word(args.word_file, args.chars)
-    tg = build_temporal(word)
+    tg = build_temporal(_load_word(args.word_file, args.chars))
     result = schedule_explore(tg, Symbol(args.start))
     sys.stdout.write(emit_schedule(result.schedule, result.visited_all))
     return 0
 
 
 def _cmd_oracle(args) -> int:
-    word = _load_word(args.word_file, args.chars)
-    tg = build_temporal(word)
+    tg = build_temporal(_load_word(args.word_file, args.chars))
     result = oracle_explore(tg, Symbol(args.start))
     if not result.feasible:
         sys.stdout.write(json.dumps({"start": args.start, "infeasible": True}) + "\n")
@@ -97,8 +95,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    word = _load_word(args.word_file, args.chars)
-    tg = build_temporal(word)
+    tg = build_temporal(_load_word(args.word_file, args.chars))
     if args.lemma == "all":
         reports = run_all(tg)
     else:
@@ -177,10 +174,31 @@ def _cmd_bench(args) -> int:
     writer = csv.DictWriter(buffer, fieldnames=BENCH_COLUMNS)
     writer.writeheader()
     writer.writerows(rows)
-    tmp = args.csv + ".tmp"
-    Path(tmp).write_text(buffer.getvalue())
-    os.replace(tmp, args.csv)
+    _write_file(args.csv, buffer.getvalue())
     return 0
+
+
+def _write_file(path: str, text: str) -> None:
+    """Replace the file that ``path`` resolves to with ``text``, whole,
+    through a temporary file of its own, so a link is kept. What exists and
+    is no regular file, such as a FIFO, is written in place."""
+    import tempfile  # only bench writes a file
+
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        Path(target).write_text(text)
+        return
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), suffix=".tmp")
+    try:
+        with open(fd, "w") as out:
+            umask = os.umask(0)  # the mode a plain open gives, not 0o600
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)
+            out.write(text)
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 @cache

@@ -57,14 +57,8 @@ def parse_word_file(text: str, chars: bool = False) -> Word:
 
 
 def emit_word(word: Word) -> str:
-    """The tokens on one line, single-spaced; a power u^k is written as
-    u's text repeated."""
-    period = word._period
-    if period == len(word.symbols):
-        return f"{word}\n"
-    root = " ".join(word.symbols[:period])
-    head = f"{root} " * (len(word.symbols) // period - 1)
-    return f"{head}{root}\n"
+    """The tokens on one line, single-spaced."""
+    return f"{word}\n"
 
 
 def _json_list(items: list[str], indent: int) -> str:

@@ -122,7 +122,7 @@ def build_graph(word: Word) -> StaticGraph:
     # with. So a power is read from the occurrences of one copy of its
     # primitive root.
     occurrences = word._root_occurrences
-    slack = 1 if word._period == len(word.symbols) else 0
+    slack = 1 if word.copies == 1 else 0
     # ``occurrences`` is keyed in first-occurrence order. Symbols alternate
     # only if the later one first occurs before the earlier one's second
     # occurrence, so each symbol is paired only with the symbols whose first

@@ -156,8 +156,7 @@ def check_occurrence_balance(tg: TemporalGraph) -> LemmaReport:
         return _UNMET[OCCURRENCE_BALANCE]
     # A power u^k holds each letter k times as often as u does.
     word = tg.word
-    copies = len(word.symbols) // word._period
-    counts = {v: copies * len(ps) for v, ps in word._root_occurrences.items()}
+    counts = {v: word.copies * len(ps) for v, ps in word._root_occurrences.items()}
     # Counts within 1 on every edge bound |count x - count y| by the length
     # of a shortest x-y path, which is their distance (triangle inequality).
     if all(abs(counts[u] - counts[v]) <= 1 for u, v in tg.base.edges):
@@ -205,7 +204,7 @@ def check_interleaving(tg: TemporalGraph) -> LemmaReport:
     # boundary holds, so the certificate is read on one copy of u.
     word = tg.word
     roots = word._root_occurrences
-    slack = 1 if word._period == len(word.symbols) else 0
+    slack = 1 if word.copies == 1 else 0
     if all(
         abs(len(roots[u]) - len(roots[v])) <= slack and _interleaved(roots[u], roots[v], 1)
         for u, v in tg.base.edges
@@ -252,7 +251,7 @@ def check_union_windows(tg: TemporalGraph) -> LemmaReport:
         # A vertex is first a letter after timestep dia exactly when it
         # first occurs at or after the start of timestep dia + 1.
         roots = tg.word._root_occurrences
-        bound = tg.start_points[dia] if dia < lifetime else len(tg.word.symbols) + 1
+        bound = tg.start_points[dia] if dia < lifetime else len(tg.word) + 1
         for u, v in sorted(tg.base.edges):
             if roots[u][0] >= bound and roots[v][0] >= bound:
                 violations.append(("first-window", u.token, v.token))

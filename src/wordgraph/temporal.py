@@ -34,12 +34,11 @@ def start_points(word: Word) -> tuple[int, ...]:
     repeats, the starts found since it first occurred repeat, shifted by the
     distance between the two copies, to the end of the word.
     """
-    symbols = word.symbols
-    n = len(symbols)
+    n = len(word)
     if n == 0:
         raise ValueError("the empty word has no timestep partition")
-    period = word._period
-    root = symbols[:period]
+    root = word.root
+    period = len(root)
     starts = [1]
     seen = _scan(root, 1, starts, set())
     # No factor is open where the first copy starts, and one is open where
@@ -112,8 +111,7 @@ class TemporalGraph:
         timeline: the greedy scan of u^k enters copy ``_cycle - 1`` at an
         offset it entered an earlier copy at. ``build_temporal`` stores it when that
         happens; any other graph reads k, every copy."""
-        word = self.word
-        return len(word.symbols) // word._period
+        return self.word.copies
 
     def _times(self, t: int) -> dict[Symbol, tuple[int, ...]]:
         """Each vertex's letter times over one cycle of the timeline and
@@ -122,8 +120,8 @@ class TemporalGraph:
         ``t`` = 0 reads one cycle, and ``t`` = T every copy."""
         starts = self.start_points
         word = self.word
-        period = word._period
-        end = starts[t] - 1 if t < len(starts) else len(word.symbols)
+        period = len(word.root)
+        end = starts[t] - 1 if t < len(starts) else len(word)
         bases = range(0, max(self._cycle * period, end), period)
         return {
             v: tuple([bisect_right(starts, c + p) for c in bases for p in roots])
@@ -145,7 +143,7 @@ class TemporalGraph:
         lifetime = self.lifetime
         starts = self.start_points
         word = self.word
-        last = len(word.symbols) - word._period
+        last = len(word) - len(word.root)
         roots = word._root_occurrences
         gaps = {}
         for v, times in self._times(0).items():
@@ -202,20 +200,18 @@ def build_temporal(word: Word) -> TemporalGraph:
     stores ``_cycle``."""
     base = build_graph(word)
     tg = TemporalGraph(word=word, start_points=start_points(word), base=base)
-    period = word._period
-    n = len(word.symbols)
-    if period < n:
-        # The offset at which the open factor enters each copy, as
-        # ``start_points`` tracks it, read back from the start points: the
-        # factor that holds the position before the copy is the open one.
-        starts = tg.start_points
-        entered = set()
-        for before in range(period, n, period):
-            offset = starts[bisect_right(starts, before) - 1] - before
-            if offset in entered:
-                vars(tg)["_cycle"] = before // period + 1
-                break
-            entered.add(offset)
+    # The offset at which the open factor enters each copy after the first,
+    # as ``start_points`` tracks it, read back from the start points: the
+    # factor that holds the position before the copy is the open one.
+    period = len(word.root)
+    starts = tg.start_points
+    entered = set()
+    for before in range(period, len(word), period):
+        offset = starts[bisect_right(starts, before) - 1] - before
+        if offset in entered:
+            vars(tg)["_cycle"] = before // period + 1
+            break
+        entered.add(offset)
     return tg
 
 
@@ -241,8 +237,8 @@ def next_activation(tg: TemporalGraph, e: tuple[Symbol, Symbol], t: int) -> int 
     # copy after it. ``first`` counts from the start of the copy that holds
     # starts[t], and n + 1 stands for no occurrence.
     word = tg.word
-    n = len(word.symbols)
-    period = word._period
+    n = len(word)
+    period = len(word.root)
     roots = word._root_occurrences
     copy, offset = divmod(starts[t] - 1, period)
     first = n + 1

@@ -1,5 +1,6 @@
-"""Symbols, words and word powers, and ``cached``, the descriptor behind
-every cached field of the package's immutable values.
+"""Symbols, words stored as their primitive root and copy count, word
+powers, and ``cached``, the descriptor behind every cached field of the
+package's immutable values.
 
 Positions are 1-based throughout the public API: ``w.occurrences`` lists
 the symbol ``w.symbols[p - 1]`` at position ``p``, matching the index
@@ -73,51 +74,51 @@ class Symbol(str):
         return f"Symbol({str.__repr__(self)})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Word:
-    """An immutable sequence of symbols.
-
-    A word may be empty; operations that need a nonempty word check that
-    themselves.
+    """An immutable sequence of symbols, stored as ``root``, its primitive
+    root u, the shortest word with ``symbols == u^k``, and ``copies``, that
+    k: 0 for the empty word, whose root is empty. The primitive root is
+    unique, so equal words have equal roots and counts, which ``==`` and
+    ``hash`` compare; ``symbols`` is derived. A word may be empty;
+    operations that need a nonempty word check that themselves.
     """
 
-    symbols: tuple[Symbol, ...] = ()
+    root: tuple[Symbol, ...]
+    copies: int
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.symbols, tuple):
-            object.__setattr__(self, "symbols", tuple(self.symbols))
-        if not all(map(isinstance, self.symbols, repeat(Symbol))):
-            bad = next(sym for sym in self.symbols if not isinstance(sym, Symbol))
+    def __init__(self, symbols: Iterable[Symbol] = ()) -> None:
+        symbols = tuple(symbols)
+        if not all(map(isinstance, symbols, repeat(Symbol))):
+            bad = next(sym for sym in symbols if not isinstance(sym, Symbol))
             raise TypeError(f"words hold Symbol values, got {type(bad).__name__}")
+        period = _period_of(symbols)
+        vars(self).update(root=symbols[:period], copies=len(symbols) // period if period else 0)
 
     @classmethod
     def from_tokens(cls, tokens: Iterable[str]) -> "Word":
-        """Read a word from its tokens; equal tokens share one Symbol.
-
-        A power u^k is read by its primitive root: only the tokens of u
-        become symbols, the word repeats them k times, and the root's
-        length is stored as the word's ``_period``.
-        """
+        """Read a word from its tokens; equal tokens share one Symbol, and
+        only the tokens of one copy of the primitive root become symbols."""
         tokens = tuple(tokens)
         period = _period_of(tokens)
         return cls._from_root(tokens[:period], len(tokens) // period if period else 0)
 
     @classmethod
     def _from_root(cls, tokens: Sequence[str], copies: int) -> "Word":
-        """The word ``copies`` times the primitive root read from ``tokens``:
-        its symbols are made from one copy, and its length is the period."""
+        """The word ``copies`` times the primitive root read from ``tokens``,
+        with one Symbol per distinct token."""
         symbols = {tok: Symbol(tok) for tok in dict.fromkeys(tokens)}
-        root = tuple(map(symbols.__getitem__, tokens))
-        # Every symbol was made just above, so the word skips the check of
-        # ``__post_init__``, which would test each position's type.
-        word = object.__new__(cls)
-        vars(word).update(symbols=root * copies, _period=len(tokens))
-        return word
+        return _power(tuple(map(symbols.__getitem__, tokens)), copies)
 
     @classmethod
     def from_chars(cls, text: str) -> "Word":
         """Read a word with one character per symbol, e.g. ``"acbacbab"``."""
         return cls.from_tokens(text)
+
+    @cached
+    def symbols(self) -> tuple[Symbol, ...]:
+        """Every position's symbol: ``copies`` copies of ``root``."""
+        return self.root * self.copies
 
     @cached
     def occurrences(self) -> dict[Symbol, tuple[int, ...]]:
@@ -129,30 +130,19 @@ class Word:
         return {sym: tuple(positions) for sym, positions in acc.items()}
 
     @cached
-    def _period(self) -> int:
-        """The length p of the primitive root u, the shortest word with
-        ``self == u^k``: the length itself when the word is no proper power,
-        the empty word included. See ``_period_of``."""
-        return _period_of(self.symbols)
-
-    @cached
     def _root_occurrences(self) -> dict[Symbol, tuple[int, ...]]:
-        """``occurrences`` of one period, the root u of ``self == u^k``;
-        ``occurrences`` itself, the same object, when the word is no proper
-        power."""
-        period = self._period
-        if period == len(self.symbols):
-            return self.occurrences
-        return Word(self.symbols[:period]).occurrences
+        """``occurrences`` of one copy of the root; ``occurrences`` itself,
+        the same object, when the word is no proper power."""
+        return self.occurrences if self.copies <= 1 else _power(self.root, 1).occurrences
 
     def __len__(self) -> int:
-        return len(self.symbols)
+        return len(self.root) * self.copies
 
     def __iter__(self) -> Iterator[Symbol]:
         return iter(self.symbols)
 
     def __str__(self) -> str:
-        return " ".join(self.symbols)
+        return " ".join([" ".join(self.root)] * self.copies)
 
 
 def _period_of(seq: Sequence[str]) -> int:
@@ -180,16 +170,17 @@ def _period_of(seq: Sequence[str]) -> int:
     return n
 
 
-def power(word: Word, k: int) -> Word:
-    """Concatenate ``k`` copies of ``word``; ``k`` must be at least 1.
+def _power(root: tuple[Symbol, ...], copies: int) -> Word:
+    """The word of ``copies`` copies of ``root``, a primitive root of
+    Symbols, built without ``Word``'s type check and period search."""
+    word = object.__new__(Word)
+    vars(word).update(root=root, copies=copies)
+    return word
 
-    The power has the primitive root of ``word``, so it stores ``word``'s
-    period, and like ``Word.from_tokens`` it skips the type check of
-    ``__post_init__``: every symbol is already a word's.
-    """
+
+def power(word: Word, k: int) -> Word:
+    """Concatenate ``k`` copies of ``word``, ``k`` at least 1: ``word``'s
+    root, with ``k`` times its copies."""
     if k < 1:
         raise ValueError(f"word power needs k >= 1, got {k}")
-    result = object.__new__(Word)
-    vars(result).update(symbols=word.symbols * k, _period=word._period)
-    return result
-
+    return _power(word.root, word.copies * k)

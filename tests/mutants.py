@@ -99,6 +99,16 @@ On words every base edge of a power has equal counts in the root, so only
 a base that is not the word's own tells the root certificate and counts
 apart: ``test_foreign_base_probe`` is the first to fail on
 ``root-certificate-without-count-guard`` and ``balance-counts-of-one-copy``.
+A word is stored as its primitive root and its copy count.
+``power-drops-base-copies`` gives ``power(w, k)`` k copies of the root, not
+k times ``w``'s: ``test_powers.py::test_period_of_the_empty_word_is_its_length``
+is the first to fail on it, since the empty word cubed then has three
+copies, and ``test_powers.py::test_root_parsed_power_of_a_power`` fails on
+it too. ``word-init-keeps-full-tuple`` has ``Word(symbols)`` store every
+symbol as the root, so a power built from a tuple is unequal to the same
+word read from its tokens:
+``test_acceptance.py::test_criterion_01_projection_reference_table`` is the
+first to fail on it.
 
 Each later fast path should add a mutant of itself here.
 """
@@ -140,7 +150,7 @@ MUTANTS = [
     (
         "power-slack-1",
         "graphs.py",
-        "slack = 1 if word._period == len(word.symbols) else 0",
+        "slack = 1 if word.copies == 1 else 0",
         "slack = 1",
     ),
     (
@@ -250,8 +260,8 @@ MUTANTS = [
     (
         "letter-times-one-copy-short",
         "temporal.py",
-        "end = starts[t] - 1 if t < len(starts) else len(word.symbols)",
-        "end = starts[t] - 1 if t < len(starts) else len(word.symbols) - period",
+        "end = starts[t] - 1 if t < len(starts) else len(word)",
+        "end = starts[t] - 1 if t < len(starts) else len(word) - period",
     ),
     (
         "connected-factor-one-long",
@@ -274,13 +284,13 @@ MUTANTS = [
     (
         "root-certificate-without-count-guard",
         "lemmas.py",
-        "slack = 1 if word._period == len(word.symbols) else 0",
+        "slack = 1 if word.copies == 1 else 0",
         "slack = 1",
     ),
     (
         "balance-counts-of-one-copy",
         "lemmas.py",
-        "counts = {v: copies * len(ps) for v, ps in word._root_occurrences.items()}",
+        "counts = {v: word.copies * len(ps) for v, ps in word._root_occurrences.items()}",
         "counts = {v: len(ps) for v, ps in word._root_occurrences.items()}",
     ),
     (
@@ -306,6 +316,18 @@ MUTANTS = [
         "explore.py",
         "ts = (*ts[: bisect_right(ts, upper)], cap)",
         "ts = (*ts[: bisect_right(ts, upper - 1)], cap)",
+    ),
+    (
+        "power-drops-base-copies",
+        "words.py",
+        "return _power(word.root, word.copies * k)",
+        "return _power(word.root, k)",
+    ),
+    (
+        "word-init-keeps-full-tuple",
+        "words.py",
+        "period = _period_of(symbols)\n",
+        "period = len(symbols)\n",
     ),
 ]
 

@@ -20,7 +20,7 @@ from wordgraph.temporal import TemporalGraph, build_temporal
 from wordgraph.words import Word, cached
 
 FIELDS = {
-    Word: ("occurrences", "_period", "_root_occurrences"),
+    Word: ("symbols", "occurrences", "_root_occurrences"),
     StaticGraph: ("adjacency", "_connected", "_diameter"),
     TemporalGraph: (
         "letter_times",
@@ -92,10 +92,10 @@ def test_equality_and_hash_ignore_filled_caches(text):
         if isinstance(filled, TemporalGraph):
             fill(filled.base)
         assert set(FIELDS[type(filled)]) <= set(vars(filled))
-        # from_tokens stores the period it read on the tokens, and
-        # build_temporal the copies in one cycle of a power's timeline.
-        stored = {"_period"} if isinstance(fresh, Word) else set()
-        if isinstance(fresh, TemporalGraph) and fresh.word._period < len(fresh.word):
+        # A word stores only its root and copies, and build_temporal the
+        # copies in one cycle of a power's timeline.
+        stored = set()
+        if isinstance(fresh, TemporalGraph) and fresh.word.copies > 1:
             stored = {"_cycle"}
         assert set(FIELDS[type(fresh)]) & set(vars(fresh)) == stored
         assert filled == fresh and fresh == filled

@@ -404,6 +404,40 @@ class TestBench:
         assert err.count("\n") == 1
         assert json.loads(err)["error"] == "io-error"
 
+    def bench_csv(self, capsys, path):
+        return run(capsys, "bench", "--family", "path", "--n-range", "4:4", "--csv", str(path))
+
+    def test_csv_through_a_link_writes_its_target(self, capsys, tmp_path):
+        plain = tmp_path / "plain" / "bench.csv"
+        plain.parent.mkdir()
+        assert self.bench_csv(capsys, plain) == (0, "", "")
+        target = tmp_path / "target.csv"
+        target.write_text("old\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        assert self.bench_csv(capsys, link) == (0, "", "")
+        assert link.is_symlink() and link.resolve() == target
+        assert target.read_bytes() == plain.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "plain", "target.csv"]
+
+    def test_csv_onto_a_directory_is_io_error_and_leaves_no_file(self, capsys, tmp_path):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        code, out, err = self.bench_csv(capsys, out_dir)
+        assert (code, out, err.count("\n")) == (1, "", 1)
+        assert json.loads(err)["error"] == "io-error"
+        assert list(tmp_path.iterdir()) == [out_dir]
+        assert list(out_dir.iterdir()) == []
+
+    def test_csv_leaves_a_file_named_like_a_temporary_alone(self, capsys, tmp_path):
+        out_csv = tmp_path / "bench.csv"
+        own = tmp_path / "bench.csv.tmp"
+        own.write_text("mine\n")
+        assert self.bench_csv(capsys, out_csv) == (0, "", "")
+        assert own.read_text() == "mine\n"
+        assert out_csv.read_text().startswith("family,n,")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bench.csv", "bench.csv.tmp"]
+
 
 class TestUsageErrors:
     def test_unknown_command(self, capsys):

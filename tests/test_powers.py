@@ -1,13 +1,13 @@
 """Reading a power word by its primitive root.
 
-``Word._period`` is the length of the primitive root u of a word w = u^k,
-and ``Word._root_occurrences`` the occurrences of one copy of u:
-``occurrences`` itself when w is no proper power.
+A word w = u^k stores its primitive root u as ``root`` and k as
+``copies``, and ``Word._root_occurrences`` holds the occurrences of one
+copy of u: ``occurrences`` itself when w is no proper power.
 ``build_graph`` tests the pairs of a proper power on one copy of u, where x
 and y alternate in u^k (k >= 2) exactly when they alternate in u and occur
 equally often there. ``start_points`` scans a power one copy at a time and,
 once the open factor enters two copies at the same offset, repeats the
-starts found between them. Here the period must equal
+starts found between them. Here ``len(root)`` must equal
 ``reference_period``, the shortest divisor of the length that the word
 repeats with; the graph ``reference_edges``, the pairwise-alternation scan
 of the full word; and the starts ``reference_start_points``, the plain
@@ -15,14 +15,16 @@ greedy scan. They are compared on random powers, non-primitive roots, every
 family instance and the corpus; on the corpus, the graph is compared by
 ``test_graphs_reference.py``.
 
-``Word.from_tokens`` reads the period on the tokens, makes symbols of one
-copy of the root only and stores the period; ``power`` stores its base's.
+``Word.from_tokens`` reads the period on the tokens and makes symbols of
+one copy of the root only; ``power`` keeps its base's root and multiplies
+its copies.
 ``parse_word_file`` reads the period on the text: a file in ``gen``'s
 layout, one line of single-spaced tokens, is the text of the root repeated,
 and only one copy of it is split. Any other layout is read line by line.
 Each word, parsed from both layouts or built from the tokens, must equal
 the word of one ``Symbol`` per token, share one ``Symbol`` between equal
-tokens, and hold ``reference_period``. On parsed powers,
+tokens, and hold a root of ``reference_period`` symbols; every way of
+building it gives the same root, copies and hash. On parsed powers,
 ``next_activation``, which searches the root's occurrences, is compared at
 every timestep by ``assert_matches_reference``.
 """
@@ -63,10 +65,10 @@ def assert_matches_references(word):
 
 def assert_root_matches_references(word):
     """The period, the root's occurrences and the start points."""
-    assert word._period == reference_period(word)
+    assert len(word.root) == reference_period(word)
     roots = word._root_occurrences
-    assert roots == Word(word.symbols[: word._period]).occurrences
-    assert (roots is word.occurrences) is (word._period == len(word))
+    assert roots == Word(word.root).occurrences
+    assert (roots is word.occurrences) is (len(word.root) == len(word))
     assert start_points(word) == reference_start_points(word)
 
 
@@ -99,18 +101,21 @@ def random_powers(rng, count):
 )
 def test_period_examples(text, period):
     word = Word.from_chars(text)
-    assert word._period == period == reference_period(word)
+    assert len(word.root) == period == reference_period(word)
 
 
 def test_period_of_the_empty_word_is_its_length():
-    assert Word()._period == 0
+    assert len(Word().root) == Word().copies == 0
+    # However it is built, the empty word is one value.
+    for word in (power(Word(), 3), Word(()), Word.from_tokens([])):
+        assert word == Word() and hash(word) == hash(Word())
 
 
 def test_equal_symbols_that_are_distinct_objects_keep_the_root():
     # The boundary test is by equality: a power built from equal but
     # distinct symbols is read by its root.
     word = Word(tuple(Symbol(c) for c in "abababab"))
-    assert word._period == 2
+    assert len(word.root) == 2
     assert_matches_references(word)
 
 
@@ -128,7 +133,7 @@ def test_equal_symbols_that_are_distinct_objects_keep_the_root():
 )
 def test_power_examples(root, k):
     word = power(Word.from_chars(root), k)
-    assert word._period == reference_period(Word.from_chars(root))
+    assert len(word.root) == reference_period(Word.from_chars(root))
     assert_matches_references(word)
 
 
@@ -139,7 +144,7 @@ def test_factorization_that_settles_after_one_copy():
     # starts of copy 1 (1, 3, 6) differ from those of copy 2 (9, 12, 14).
     root = Word.from_tokens("3 1 3 2 1 2 1".split())
     word = power(root, 5)
-    assert word._period == 7
+    assert len(word.root) == 7
     expected = (1, 3, 6, 9, 12, 14, 16, 19, 21, 23, 26, 28, 30, 33, 35)
     assert start_points(word) == reference_start_points(word) == expected
     assert_matches_references(word)
@@ -174,12 +179,12 @@ def test_family_powers_scan_two_copies(monkeypatch, word):
 
     monkeypatch.setattr(temporal, "_scan", counting)
     assert start_points(word) == reference_start_points(word)
-    assert scanned == [word._period] * 2
+    assert scanned == [len(word.root)] * 2
 
 
 def test_random_powers():
     words = random_powers(random.Random(11), 3000)
-    assert sum(w._period < len(w) for w in words) > 2000
+    assert sum(w.copies > 1 for w in words) > 2000
     for word in words:
         assert_matches_references(word)
 
@@ -189,7 +194,7 @@ def test_powers_of_non_primitive_roots():
     for root in random_powers(rng, 300):
         for k in (2, 3, 4):
             word = power(root, k)
-            assert word._period == root._period
+            assert (word.root, word.copies) == (root.root, root.copies * k)
             assert_matches_references(word)
 
 
@@ -218,14 +223,20 @@ def other_layout_text(tokens):
 def assert_root_parsed(tokens, *words):
     """The word parsed from ``gen``'s layout and from another layout, the
     word read from the tokens, and ``words``, are each the word of one fresh
-    Symbol per token, equal tokens share one Symbol, and the stored period
-    is the reference's."""
+    Symbol per token, equal tokens share one Symbol, and the stored root is
+    as long as the reference's period. Each of them, rebuilt from its
+    symbols or as a power of its root, has the root, copies and hash of
+    every other."""
     texts = (word_text(tokens), other_layout_text(tokens))
-    for word in (*map(parse_word_file, texts), Word.from_tokens(tokens), *words):
+    built = (*map(parse_word_file, texts), Word.from_tokens(tokens), *words)
+    for word in built:
         assert word == Word(tuple(Symbol(tok) for tok in tokens))
         shared = {}
         assert all(shared.setdefault(sym, sym) is sym for sym in word.symbols)
-        assert vars(word)["_period"] == reference_period(word)
+        assert len(vars(word)["root"]) == reference_period(word)
+        key = (word.root, word.copies, hash(word))
+        for other in (Word(tuple(word.symbols)), power(Word(word.root), word.copies), *built):
+            assert (other.root, other.copies, hash(other)) == key
 
 
 def tokens_of(word):
@@ -258,7 +269,7 @@ def test_root_parsed_one_token():
 
 
 def test_root_parsed_power_of_a_power():
-    # ``power`` stores the period of its base, 2 here, not the base's length.
+    # ``power`` keeps the root of its base, ab here, not the base itself.
     assert_root_parsed(list("abab" * 3), power(Word.from_tokens("abab"), 3))
 
 
@@ -267,7 +278,7 @@ def test_root_parsed_tokens_that_are_distinct_objects():
     tokens = ["".join(pair) for pair in ["ab", "cd", "ab", "ef"] * 6]
     assert tokens[0] == tokens[2] and tokens[0] is not tokens[2]
     assert_root_parsed(tokens)
-    assert Word.from_tokens(tokens)._period == 4
+    assert len(Word.from_tokens(tokens).root) == 4
 
 
 def test_root_parsed_powers_match_activity_references():
