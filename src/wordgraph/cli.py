@@ -188,7 +188,11 @@ def _write_file(path: str, text: str) -> None:
     if os.path.exists(target) and not os.path.isfile(target):
         Path(target).write_text(text)
         return
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), suffix=".tmp")
+    except OSError as exc:
+        # The temporary's name is random; the error names the user's path.
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with open(fd, "w") as out:
             umask = os.umask(0)  # the mode a plain open gives, not 0o600

@@ -96,7 +96,9 @@ def _gapped_edges(tg: TemporalGraph, size: int):
     """Triples (u, v, times), in edge order, for the edges whose activation
     times leave some window of ``size`` timesteps uncovered. An edge's times
     contain each endpoint's letter times, so both endpoints' letter gaps
-    must exceed ``size`` too."""
+    must exceed ``size`` too, and so must ``_gap_bound``, read first."""
+    if tg._gap_bound <= size:
+        return
     gaps = tg.letter_gaps
     lifetime = tg.lifetime
     wide = [(u, v) for u, v in tg.base.edges if gaps[u] > size and gaps[v] > size]
@@ -111,6 +113,7 @@ def check_letter_recurrence(tg: TemporalGraph) -> LemmaReport:
     if not tg.always_connected:
         return _UNMET[LETTER_RECURRENCE]
     lifetime = tg.lifetime
+    bound = tg._gap_bound
     violations: list[tuple] = []
     unfit: list[str] = []
     for v in tg.base.vertices:
@@ -118,7 +121,7 @@ def check_letter_recurrence(tg: TemporalGraph) -> LemmaReport:
         if lifetime - span + 1 < 1:
             unfit.append(v.token)
             continue
-        if tg.letter_gaps[v] > span:
+        if bound > span and tg.letter_gaps[v] > span:
             for _, t in _uncovered_windows(tg.letter_times[v], span, lifetime):
                 violations.append((v.token, t))
     notes = ""
@@ -249,12 +252,15 @@ def check_union_windows(tg: TemporalGraph) -> LemmaReport:
 
     if dia <= lifetime:
         # A vertex is first a letter after timestep dia exactly when it
-        # first occurs at or after the start of timestep dia + 1.
+        # first occurs at or after the start of timestep dia + 1. The root's
+        # occurrences are keyed in first-occurrence order, so none does
+        # unless the last key does.
         roots = tg.word._root_occurrences
         bound = tg.start_points[dia] if dia < lifetime else len(tg.word) + 1
-        for u, v in sorted(tg.base.edges):
-            if roots[u][0] >= bound and roots[v][0] >= bound:
-                violations.append(("first-window", u.token, v.token))
+        if next(reversed(roots.values()))[0] >= bound:
+            for u, v in sorted(tg.base.edges):
+                if roots[u][0] >= bound and roots[v][0] >= bound:
+                    violations.append(("first-window", u.token, v.token))
     else:
         skipped.append("first-window")
 

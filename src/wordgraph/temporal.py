@@ -82,8 +82,9 @@ class TemporalGraph:
     ``_times(t)`` bisects the primitive root's occurrences in one cycle of
     the timeline (``_cycle``), and in every copy through timestep t, into
     the start points: ``letter_times`` reads ``_times(T)`` and
-    ``letter_gaps`` ``_times(0)``. ``next_activation`` searches one copy,
-    and ``always_connected`` walks consecutive start points. Immutable
+    ``letter_gaps`` ``_times(0)``. ``_gap_bound`` bounds every letter gap
+    from the start points of one cycle. ``next_activation`` searches one
+    copy, and ``always_connected`` walks consecutive start points. Immutable
     after construction; all queries are read-only.
 
     The base's vertices are the word's letters, and the start points rise
@@ -150,6 +151,28 @@ class TemporalGraph:
             end = lifetime + 1 - bisect_right(starts, last + roots[v][-1])
             gaps[v] = max(end, *map(sub, times, (0, *times)))
         return gaps
+
+    @cached
+    def _gap_bound(self) -> int:
+        """An upper bound on every ``letter_gaps`` value, read from the
+        start points alone: T + 1 unless the word is a proper power."""
+        # In u^k, k >= 2, consecutive occurrences of a letter lie at most
+        # |u| positions apart, and the first lies in the first copy. So a
+        # gap between two letter times, or from 0 to the first, is at most
+        # the number of start points in |u| consecutive positions, which is
+        # largest in a window opening at a start point. Those windows repeat,
+        # shifted, past one cycle. The last occurrence lies in the last copy.
+        starts = self.start_points
+        word = self.word
+        if word.copies < 2:
+            return len(starts) + 1
+        period = len(word.root)
+        last = len(starts) + 1 - bisect_right(starts, len(word) - period + 1)
+        cycle = bisect_right(starts, self._cycle * period)
+        return max(
+            last,
+            *[bisect_right(starts, s + period - 1, i) - i for i, s in enumerate(starts[:cycle])],
+        )
 
     def activation_times(self, u: Symbol, v: Symbol) -> tuple[int, ...]:
         """Increasing timesteps at which the edge (u, v) is active: the union

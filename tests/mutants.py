@@ -109,6 +109,19 @@ symbol as the root, so a power built from a tuple is unequal to the same
 word read from its tokens:
 ``test_acceptance.py::test_criterion_01_projection_reference_table`` is the
 first to fail on it.
+``TemporalGraph._gap_bound`` bounds every letter gap of a proper power from
+the start points of one cycle, and the window checkers read no letter gap
+when it decides them. ``gap-bound-window-one-short`` counts the start
+points in one position fewer than a copy of the root; only
+``test_powers.py::test_gap_bound_and_reports_on_powers_with_other_start_points``
+fails on it. ``gap-bound-without-last-gap`` drops the gap from the last
+copy's first position to T + 1, and
+``test_lemmas_reference.py::test_foreign_base_probe`` is the first to fail
+on it. ``first-window-skip-reads-first-key`` has union-windows (a) skip its
+edge scan unless the first letter, not the last, first occurs after the
+first d timesteps, so it never scans;
+``test_lemmas_reference.py::test_non_greedy_start_points_probe`` is the
+first to fail on it.
 
 Each later fast path should add a mutant of itself here.
 """
@@ -224,8 +237,8 @@ MUTANTS = [
     (
         "letter-recurrence-gap",
         "lemmas.py",
-        "if tg.letter_gaps[v] > span:",
-        "if tg.letter_gaps[v] > span + 1:",
+        "and tg.letter_gaps[v] > span:",
+        "and tg.letter_gaps[v] > span + 1:",
     ),
     (
         "interleaving-witness-spread",
@@ -292,6 +305,24 @@ MUTANTS = [
         "lemmas.py",
         "counts = {v: word.copies * len(ps) for v, ps in word._root_occurrences.items()}",
         "counts = {v: len(ps) for v, ps in word._root_occurrences.items()}",
+    ),
+    (
+        "gap-bound-window-one-short",
+        "temporal.py",
+        "bisect_right(starts, s + period - 1, i) - i",
+        "bisect_right(starts, s + period - 2, i) - i",
+    ),
+    (
+        "gap-bound-without-last-gap",
+        "temporal.py",
+        "            last,\n            *[bisect_right(",
+        "            0,\n            *[bisect_right(",
+    ),
+    (
+        "first-window-skip-reads-first-key",
+        "lemmas.py",
+        "if next(reversed(roots.values()))[0] >= bound:",
+        "if next(iter(roots.values()))[0] >= bound:",
     ),
     (
         "spanning-walk-stops-early",

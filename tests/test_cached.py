@@ -26,6 +26,7 @@ FIELDS = {
         "letter_times",
         "_cycle",
         "letter_gaps",
+        "_gap_bound",
         "always_connected",
     ),
 }

@@ -2,8 +2,10 @@ import csv
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -406,6 +408,35 @@ class TestBench:
 
     def bench_csv(self, capsys, path):
         return run(capsys, "bench", "--family", "path", "--n-range", "4:4", "--csv", str(path))
+
+    def test_missing_output_directory_error_names_the_given_path(self, capsys, tmp_path):
+        # The temporary file beside the target has a random name, so an
+        # error that named it would differ from run to run.
+        out_csv = tmp_path / "missing" / "bench.csv"
+        first, second = (self.bench_csv(capsys, out_csv) for _ in range(2))
+        assert first == second
+        assert json.loads(first[2]) == {
+            "error": "io-error",
+            "message": f"[Errno 2] No such file or directory: {str(out_csv)!r}",
+        }
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
+    def test_csv_onto_a_fifo_writes_through_it(self, capsys, tmp_path):
+        plain = tmp_path / "bench.csv"
+        assert self.bench_csv(capsys, plain) == (0, "", "")
+        fifo = tmp_path / "bench.fifo"
+        os.mkfifo(fifo)
+        got = []
+        # A writer that replaced the FIFO would leave the reader blocked
+        # for good, so it reads in a daemon thread with a deadline.
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        result = self.bench_csv(capsys, fifo)
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert result == (0, "", "")
+        assert stat.S_ISFIFO(fifo.lstat().st_mode)
+        assert got == [plain.read_bytes()]
 
     def test_csv_through_a_link_writes_its_target(self, capsys, tmp_path):
         plain = tmp_path / "plain" / "bench.csv"

@@ -27,6 +27,14 @@ tokens, and hold a root of ``reference_period`` symbols; every way of
 building it gives the same root, copies and hash. On parsed powers,
 ``next_activation``, which searches the root's occurrences, is compared at
 every timestep by ``assert_matches_reference``.
+
+``TemporalGraph._gap_bound`` bounds every letter gap from the start points
+of one cycle, and the window checkers read no letter gap when it decides
+them. It must be at least the largest letter gap on corpus powers, family
+powers and proper powers with other start points. Only on the last does a
+bound whose window is one position short, or that drops its last term,
+fall below some letter gap, and there the checkers' reports must also
+equal the references'.
 """
 
 import itertools
@@ -44,6 +52,8 @@ from references import (
     permutation_power_words,
     random_start_points,
     reference_edges,
+    reference_interleaving,
+    reference_occurrence_balance,
     reference_period,
     reference_start_points,
 )
@@ -393,3 +403,57 @@ def test_power_with_other_start_points_reads_every_copy():
     assert_letter_gaps_match(tg, ReferenceActivity(tg).letters)
     assert "letter_times" not in vars(tg)
     assert_matches_reference(tg)
+
+
+def assert_gap_bound(tg):
+    """``_gap_bound`` is at least every letter gap."""
+    assert tg._gap_bound >= max(tg.letter_gaps.values()), (str(tg.word), tg.start_points)
+
+
+def test_gap_bound_on_corpus_powers(corpus):
+    for word in corpus:
+        assert_gap_bound(build_temporal(power(word, 2)))
+
+
+def test_gap_bound_on_family_powers():
+    words = [power(path_word(n), k) for n in range(3, 17) for k in (1, 2, 3, n)]
+    layered = ((6, 3), (8, 4), (9, 3), (12, 4), (12, 6), (15, 5))
+    words += [power(layered_word(n, d), k) for n, d in layered for k in (1, 2, 3, n)]
+    for word in words:
+        assert_gap_bound(build_temporal(word))
+
+
+def test_gap_bound_and_reports_on_powers_with_other_start_points():
+    # Start points other than the greedy ones may put many of them, or
+    # none, into one copy of the root, so the bound's window and its last
+    # term are both tight on some of these powers, and the checkers that
+    # read the bound must still report what the references report.
+    rng = random.Random(41)
+    for word in random_powers(rng, 3000):
+        if word.copies < 2:
+            continue
+        tg = TemporalGraph(word, random_start_points(rng, len(word)), build_graph(word))
+        ref = ReferenceActivity(tg)
+        assert run_all(tg) == [
+            ref.letter_recurrence(),
+            ref.edge_recurrence(),
+            reference_occurrence_balance(tg),
+            reference_interleaving(tg),
+            ref.union_windows(),
+        ], (str(word), tg.start_points)
+        assert_letter_gaps_match(tg, ref.letters)
+        assert_gap_bound(tg)
+
+
+@pytest.mark.parametrize(
+    "word",
+    [power(path_word(12), 12), power(Word.from_tokens(map(str, range(6))), 24)],
+    ids=["path", "permutation"],
+)
+def test_verify_on_a_power_reads_no_letter_gaps(word):
+    # On path(12)^12 no letter gap reaches d + 1 = 12, and on a power of
+    # a permutation, always connected over the complete graph, every gap is
+    # 1: the bound decides every window check without the letter gaps.
+    tg = build_temporal(word)
+    assert all(report.passed for report in run_all(tg))
+    assert "letter_gaps" not in vars(tg)
