@@ -184,25 +184,26 @@ def _write_file(path: str, text: str) -> None:
     is no regular file, such as a FIFO, is written in place."""
     import tempfile  # only bench writes a file
 
-    target = os.path.realpath(path)
-    if os.path.exists(target) and not os.path.isfile(target):
-        Path(target).write_text(text)
-        return
     try:
+        target = os.path.realpath(path)
+        if os.path.exists(target) and not os.path.isfile(target):
+            Path(target).write_text(text)
+            return
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), suffix=".tmp")
+        try:
+            with open(fd, "w") as out:
+                umask = os.umask(0)  # the mode a plain open gives, not 0o600
+                os.umask(umask)
+                os.fchmod(fd, 0o666 & ~umask)
+                out.write(text)
+            os.replace(tmp, target)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     except OSError as exc:
-        # The temporary's name is random; the error names the user's path.
+        # The error names the user's path, not the resolved target or the
+        # temporary's random name.
         raise OSError(exc.errno, exc.strerror, path) from None
-    try:
-        with open(fd, "w") as out:
-            umask = os.umask(0)  # the mode a plain open gives, not 0o600
-            os.umask(umask)
-            os.fchmod(fd, 0o666 & ~umask)
-            out.write(text)
-        os.replace(tmp, target)
-    except BaseException:
-        os.unlink(tmp)
-        raise
 
 
 @cache

@@ -185,9 +185,11 @@ def oracle_explore(tg: TemporalGraph, start: Symbol) -> OracleResult:
     (``_twin_classes``) are interchangeable, so a class state records only
     how many members of each twin class are visited and the class of the
     current vertex; two walks with the same class state are swapped by an
-    automorphism and can finish by the same times. On a twin-free word
-    every class is one vertex, and a class state is a (visited set, current
-    vertex) state.
+    automorphism and can finish by the same times. This is counter
+    abstraction for symmetric systems (Emerson & Sistla, "Symmetry and
+    model checking", FMSD 1996; Ip & Dill, "Better verification through
+    symmetry", FMSD 1996). On a twin-free word every class is one vertex,
+    and a class state is a (visited set, current vertex) state.
 
     A move from class c to a joined class d takes the next activation of
     their link, and visits either a new member of d or a visited one other
@@ -195,12 +197,13 @@ def oracle_explore(tg: TemporalGraph, start: Symbol) -> OracleResult:
     visits at most one new vertex, so the unvisited count is a consistent
     lower bound on the time still needed, and the first complete state
     popped is optimal. A completed ``schedule_explore`` run is an upper
-    bound, returned as is when it meets the lower bound ``n - 1``. No move
-    is taken after it, so letter times are read by ``TemporalGraph._times``
-    up to its end and over one cycle of the timeline, never filling
-    ``letter_times``. A popped state is skipped when the state with one more
-    member of some class visited, in the same current class, was reached no
-    later, which loses no optimum.
+    bound, returned as is when it meets the lower bound ``n - 1``; without
+    one the lifetime is the upper bound. No move is taken after it, so
+    letter times are read by ``TemporalGraph._times`` up to its end and
+    over one cycle of the timeline, never filling ``letter_times``. A
+    popped state is skipped when the state with one more member of some
+    class visited, in the same current class, was reached no later, which
+    loses no optimum.
 
     The witness maps the class path to vertices: a new visit to class d
     takes d's lowest-id unvisited member, a revisit d's lowest-id visited
@@ -364,9 +367,12 @@ def _twin_classes(graph: StaticGraph, times: dict[Symbol, tuple[int, ...]]) -> l
     times, so swapping them is an automorphism of the temporal graph. Equal
     neighbourhoods alone do not make twins, since different letter times
     give their edges different activation times. A vertex without twins is
-    a class of its own. ``times`` may be ``TemporalGraph._times(t)`` for
-    any t: letter times equal over one cycle of the timeline are equal
-    everywhere, since later copies repeat that cycle's timesteps, shifted.
+    a class of its own. Each layer of a layered word is one class of open
+    twins; a permutation power of K_n is one class of closed twins, and so
+    is a symbol x together with copies that follow every x. ``times`` may
+    be ``TemporalGraph._times(t)`` for any t: letter times equal over one
+    cycle of the timeline are equal everywhere, since later copies repeat
+    that cycle's timesteps, shifted.
     """
     vertices = graph.vertices
     split: dict[tuple, list[int]] = {}

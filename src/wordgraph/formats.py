@@ -96,7 +96,7 @@ def _temporal_json(tg: TemporalGraph) -> str:
     # so a factor's active edges are its letters' edge indices, sorted as
     # ints. Each distinct factor's tail is rendered once; a timestep adds
     # its range and a reference to that tail, and the pieces are joined
-    # once, in ``_graph_json``.
+    # once, in ``_graph_json``. Emitting never fills ``letter_times``.
     vertices = sorted(tg.base.vertices)
     rank = {v: r for r, v in enumerate(vertices)}
     quoted = list(map(encode_basestring_ascii, vertices))

@@ -89,11 +89,13 @@ class StaticGraph:
         """Backs ``diameter``; None on a disconnected graph.
 
         A connected graph with n - 1 edges is a tree, and in a tree the
-        vertex farthest from any vertex ends a longest path, so one search
-        from the far vertex the connectivity search found suffices.
-        Otherwise one search runs from the first member of each
+        vertex farthest from any vertex ends a longest path (Handler, 1973),
+        so one search from the far vertex the connectivity search found
+        suffices. Otherwise one search runs from the first member of each
         ``neighbourhood_classes`` class: for twins u and v, every other
         vertex is as far from u as from v, so they share an eccentricity.
+        The layered (n, d) graph, whose layers are its classes, takes d
+        searches, and a complete graph one.
         """
         far = self._connected
         if far is None:

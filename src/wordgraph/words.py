@@ -97,8 +97,9 @@ class Word:
 
     @classmethod
     def from_tokens(cls, tokens: Iterable[str]) -> "Word":
-        """Read a word from its tokens; equal tokens share one Symbol, and
-        only the tokens of one copy of the primitive root become symbols."""
+        """Read a word from its tokens, one per character of a ``str`` such
+        as ``"acbacbab"``; equal tokens share one Symbol, and only the
+        tokens of one copy of the primitive root become symbols."""
         tokens = tuple(tokens)
         period = _period_of(tokens)
         return cls._from_root(tokens[:period], len(tokens) // period if period else 0)
@@ -109,11 +110,6 @@ class Word:
         with one Symbol per distinct token."""
         symbols = {tok: Symbol(tok) for tok in dict.fromkeys(tokens)}
         return _power(tuple(map(symbols.__getitem__, tokens)), copies)
-
-    @classmethod
-    def from_chars(cls, text: str) -> "Word":
-        """Read a word with one character per symbol, e.g. ``"acbacbab"``."""
-        return cls.from_tokens(text)
 
     @cached
     def symbols(self) -> tuple[Symbol, ...]:

@@ -61,16 +61,16 @@ def recursive_projection(tokens, keep):
 def test_criterion_01_projection_reference_table():
     # the four projection rows of the reference word, recomputed with the
     # recursive keep/drop definition
-    word = Word.from_chars(REFERENCE_PROJECTION_WORD)
+    word = Word.from_tokens(REFERENCE_PROJECTION_WORD)
     rows = {("a",): "aaa", ("a", "b"): "ababab", ("a", "c"): "acaca", ("b", "c"): "cbcbb"}
     for keep, expected in rows.items():
         assert recursive_projection(list(REFERENCE_PROJECTION_WORD), set(keep)) == expected
-        assert project(word, [Symbol(t) for t in keep]) == Word.from_chars(expected)
+        assert project(word, [Symbol(t) for t in keep]) == Word.from_tokens(expected)
     announce(1, "all four projection rows")
 
 
 def test_criterion_02_reference_temporal_structure():
-    word = Word.from_chars(REFERENCE_TEMPORAL_WORD)
+    word = Word.from_tokens(REFERENCE_TEMPORAL_WORD)
     expected_path = frozenset(
         make_edge(Symbol(a), Symbol(b)) for a, b in zip("abcdefg", "bcdefgh")
     )
@@ -177,7 +177,7 @@ def test_criterion_06_scheduler_soundness(tmp_path):
 def test_criterion_07_oracle_optimality_and_micro_instances():
     micro = [("121323", "1", 2), ("xyzxyz", "x", 2), ("a", "a", 0)]
     for text, start, expected in micro:
-        result = oracle_explore(build_temporal(Word.from_chars(text)), Symbol(start))
+        result = oracle_explore(build_temporal(Word.from_tokens(text)), Symbol(start))
         assert result.feasible and result.length == expected
 
     checked = 0
@@ -224,8 +224,8 @@ def test_criterion_09_layered_growth_trend():
 
 def test_criterion_10_format_round_trips():
     words = family_instances() + [
-        Word.from_chars(REFERENCE_PROJECTION_WORD),
-        Word.from_chars(REFERENCE_TEMPORAL_WORD),
+        Word.from_tokens(REFERENCE_PROJECTION_WORD),
+        Word.from_tokens(REFERENCE_TEMPORAL_WORD),
         Word.from_tokens(["(1,1)", "(2,1)", "(1,1)"]),
     ]
     for word in words:

@@ -80,7 +80,7 @@ def fill(obj):
 @pytest.mark.parametrize("text", ["121323", "ababcdcd", "a", "abcabcab", "abcabcabc"])
 def test_equality_and_hash_ignore_filled_caches(text):
     def word():
-        return Word.from_chars(text)
+        return Word.from_tokens(text)
 
     pairs = [
         (word(), word()),
@@ -104,7 +104,7 @@ def test_equality_and_hash_ignore_filled_caches(text):
 
 
 def test_disconnected_word_gets_the_five_vacuous_reports():
-    tg = build_temporal(Word.from_chars("ababcdcd"))
+    tg = build_temporal(Word.from_tokens("ababcdcd"))
     assert not is_connected(tg.base)
     reports = run_all(tg)
     not_always = "not connected in every timestep"
@@ -118,4 +118,4 @@ def test_disconnected_word_gets_the_five_vacuous_reports():
     ]
     for report in reports:
         assert report == LemmaReport(report.lemma_id, False, (), report.notes)
-    assert run_all(build_temporal(Word.from_chars("aabb"))) == reports
+    assert run_all(build_temporal(Word.from_tokens("aabb"))) == reports

@@ -1,4 +1,5 @@
 import csv
+import errno
 import io
 import json
 import os
@@ -238,6 +239,10 @@ class TestVerify:
         assert [r["lemma_id"] for r in doc["reports"]] == ["interleaving"]
 
 
+# How an OSError on a directory begins, as ``str`` renders it.
+IS_A_DIRECTORY = f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}"
+
+
 class TestBench:
     def test_path_family_csv(self, capsys, word_file, tmp_path):
         out_csv = tmp_path / "bench.csv"
@@ -459,6 +464,30 @@ class TestBench:
         assert json.loads(err)["error"] == "io-error"
         assert list(tmp_path.iterdir()) == [out_dir]
         assert list(out_dir.iterdir()) == []
+
+    def test_csv_onto_a_relative_directory_names_the_given_path(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        (tmp_path / "out").mkdir()
+        monkeypatch.chdir(tmp_path)
+        code, out, err = self.bench_csv(capsys, "out")
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "io-error",
+            "message": f"{IS_A_DIRECTORY}: 'out'",
+        }
+
+    def test_csv_through_a_link_to_a_directory_names_the_link(self, capsys, tmp_path):
+        (tmp_path / "out").mkdir()
+        link = tmp_path / "link"
+        link.symlink_to(tmp_path / "out")
+        code, out, err = self.bench_csv(capsys, link)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "io-error",
+            "message": f"{IS_A_DIRECTORY}: {str(link)!r}",
+        }
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_csv_leaves_a_file_named_like_a_temporary_alone(self, capsys, tmp_path):
         out_csv = tmp_path / "bench.csv"

@@ -30,7 +30,7 @@ def step(u, v, t):
 
 class TestScheduleExplore:
     def test_small_path_exact_schedule(self):
-        tg = build_temporal(Word.from_chars("121323"))
+        tg = build_temporal(Word.from_tokens("121323"))
         result = schedule_explore(tg, Symbol("1"))
         assert result.visited_all
         assert result.schedule.steps == (step("1", "2", 1), step("2", "3", 2))
@@ -38,7 +38,7 @@ class TestScheduleExplore:
         assert result.waits == (0, 0)
 
     def test_lifetime_exhaustion_returns_partial_schedule(self):
-        tg = build_temporal(Word.from_chars("abacbdcedfegfhg"))
+        tg = build_temporal(Word.from_tokens("abacbdcedfegfhg"))
         result = schedule_explore(tg, Symbol("a"))
         assert not result.visited_all
         assert result.schedule.steps == (
@@ -49,7 +49,7 @@ class TestScheduleExplore:
         )
 
     def test_single_vertex(self):
-        result = schedule_explore(build_temporal(Word.from_chars("a")), Symbol("a"))
+        result = schedule_explore(build_temporal(Word.from_tokens("a")), Symbol("a"))
         assert result.visited_all
         assert result.schedule.steps == ()
         assert result.schedule.length == 0
@@ -57,24 +57,24 @@ class TestScheduleExplore:
     def test_mode_resolution(self):
         # B is the minimum degree on an always-connected graph, else the
         # diameter; each word below tells the two choices apart.
-        tg = build_temporal(Word.from_chars("xyzxyz"))
+        tg = build_temporal(Word.from_tokens("xyzxyz"))
         assert tg.always_connected
         n, delta, d = 3, min_degree(tg.base), diameter(tg.base)
         assert (delta, d) == (2, 1)
         assert exploration_bound(tg) == (2 * delta * n, 2 * (n - 1) * (delta + 1))
-        tg = build_temporal(Word.from_chars("121323"))
+        tg = build_temporal(Word.from_tokens("121323"))
         assert not tg.always_connected
         n, delta, d = 3, min_degree(tg.base), diameter(tg.base)
         assert (delta, d) == (1, 2)
         assert exploration_bound(tg) == (2 * d * n, 2 * (n - 1) * (d + 1))
 
     def test_disconnected_underlying_is_not_explorable(self):
-        tg = build_temporal(Word.from_chars("aabb"))
+        tg = build_temporal(Word.from_tokens("aabb"))
         with pytest.raises(DisconnectedGraphError):
             schedule_explore(tg, Symbol("a"))
 
     def test_unknown_start(self):
-        tg = build_temporal(Word.from_chars("121323"))
+        tg = build_temporal(Word.from_tokens("121323"))
         with pytest.raises(ValueError):
             schedule_explore(tg, Symbol("9"))
 
@@ -96,7 +96,7 @@ class TestScheduleExplore:
     def test_always_connected_with_long_lifetime_never_exhausts(self):
         # powers large enough that the lifetime meets 2(n-1)(delta+1)
         for base, start in [("xyz", "x"), ("xyzxzy", "y"), ("wxyz", "w")]:
-            word = power(Word.from_chars(base), 30)
+            word = power(Word.from_tokens(base), 30)
             tg = build_temporal(word)
             assert tg.always_connected
             _, structural = exploration_bound(tg)
@@ -120,7 +120,7 @@ class TestScheduleExplore:
 
 class TestValidateSchedule:
     def test_scheduler_output_is_valid(self):
-        tg = build_temporal(Word.from_chars("121323"))
+        tg = build_temporal(Word.from_tokens("121323"))
         result = schedule_explore(tg, Symbol("1"))
         assert validate_schedule(tg, result.schedule) is None
 
@@ -174,7 +174,7 @@ class TestValidateSchedule:
         ids=["self-loop", "non-edge"],
     )
     def test_unknown_edge_names_its_step(self, steps, index, message):
-        tg = build_temporal(Word.from_chars("121323"))
+        tg = build_temporal(Word.from_tokens("121323"))
         violation = validate_schedule(tg, Schedule(Symbol("1"), steps))
         assert violation.kind == "unknown-edge"
         assert violation.step == index
@@ -182,7 +182,7 @@ class TestValidateSchedule:
         assert message in violation.message
 
     def test_non_increasing_timesteps(self):
-        tg = build_temporal(Word.from_chars("121323"))
+        tg = build_temporal(Word.from_tokens("121323"))
         bad = Schedule(Symbol("1"), (step("1", "2", 1), step("2", "3", 1)))
         violation = validate_schedule(tg, bad)
         assert violation is not None
@@ -190,7 +190,7 @@ class TestValidateSchedule:
         assert violation.step == 2
 
     def test_inactive_edge(self):
-        tg = build_temporal(Word.from_chars("121323"))
+        tg = build_temporal(Word.from_tokens("121323"))
         bad = Schedule(Symbol("1"), (step("1", "2", 3),))
         violation = validate_schedule(tg, bad)
         assert violation is not None
@@ -198,22 +198,22 @@ class TestValidateSchedule:
         assert violation.step == 1
 
     def test_broken_walk(self):
-        tg = build_temporal(Word.from_chars("121323"))
+        tg = build_temporal(Word.from_tokens("121323"))
         bad = Schedule(Symbol("1"), (step("2", "3", 1),))
         assert validate_schedule(tg, bad).kind == "broken-walk"
 
     def test_unknown_edge(self):
-        tg = build_temporal(Word.from_chars("121323"))
+        tg = build_temporal(Word.from_tokens("121323"))
         bad = Schedule(Symbol("1"), (step("1", "3", 2),))
         assert validate_schedule(tg, bad).kind == "unknown-edge"
 
     def test_timestep_out_of_range(self):
-        tg = build_temporal(Word.from_chars("121323"))
+        tg = build_temporal(Word.from_tokens("121323"))
         bad = Schedule(Symbol("1"), (step("1", "2", 9),))
         assert validate_schedule(tg, bad).kind == "timestep-out-of-range"
 
     def test_incomplete_coverage(self):
-        tg = build_temporal(Word.from_chars("121323"))
+        tg = build_temporal(Word.from_tokens("121323"))
         partial = Schedule(Symbol("1"), (step("1", "2", 1),))
         violation = validate_schedule(tg, partial)
         assert violation.kind == "incomplete-coverage"
@@ -230,7 +230,7 @@ class TestOracle:
         ],
     )
     def test_micro_instances(self, text, start, expected):
-        tg = build_temporal(Word.from_chars(text))
+        tg = build_temporal(Word.from_tokens(text))
         result = oracle_explore(tg, Symbol(start))
         assert result.feasible
         assert result.length == expected
@@ -238,7 +238,7 @@ class TestOracle:
             assert validate_schedule(tg, result.schedule) is None
 
     def test_infeasible_instance(self):
-        tg = build_temporal(Word.from_chars("abacbdcedfegfhg"))
+        tg = build_temporal(Word.from_tokens("abacbdcedfegfhg"))
         result = oracle_explore(tg, Symbol("a"))
         assert not result.feasible
         assert result.length is None
@@ -308,18 +308,18 @@ class TestOracle:
 
 class TestExplorationBound:
     def test_examples(self):
-        fig = build_temporal(Word.from_chars("abacbdcedfegfhg"))
+        fig = build_temporal(Word.from_tokens("abacbdcedfegfhg"))
         assert not fig.always_connected
         assert exploration_bound(fig) == (112, 112)
-        triangle = build_temporal(Word.from_chars("xyzxyz"))
+        triangle = build_temporal(Word.from_tokens("xyzxyz"))
         assert triangle.always_connected
         assert exploration_bound(triangle) == (12, 12)
-        single = build_temporal(Word.from_chars("a"))
+        single = build_temporal(Word.from_tokens("a"))
         assert exploration_bound(single) == (0, 0)
 
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraphError):
-            exploration_bound(build_temporal(Word.from_chars("aabb")))
+            exploration_bound(build_temporal(Word.from_tokens("aabb")))
 
     def test_layered_bounds_use_measured_diameter(self):
         tg = build_temporal(layered_word(8, 4))

@@ -74,14 +74,14 @@ MALFORMED_SCHEDULES = {
 class TestWordDocuments:
     def test_parse_tokens(self):
         word = parse_word_file("a b a c b d c e d f e g f h g\n")
-        assert word == Word.from_chars("abacbdcedfegfhg")
+        assert word == Word.from_tokens("abacbdcedfegfhg")
 
     def test_parse_skips_comments_and_blank_lines(self):
         word = parse_word_file("# a comment\n\n1 2 1 3 2 3\n")
         assert word == Word.from_tokens("1 2 1 3 2 3".split())
 
     def test_parse_chars_mode(self):
-        assert parse_word_file("acb acb\n", chars=True) == Word.from_chars("acbacb")
+        assert parse_word_file("acb acb\n", chars=True) == Word.from_tokens("acbacb")
 
     def test_parse_multiline(self):
         word = parse_word_file("(1,1) (2,1)\n(1,2) (2,2)\n")
@@ -123,12 +123,12 @@ class TestWordDocuments:
 
 class TestGraphDocuments:
     def test_triangle_json(self):
-        doc = json.loads(emit_graph(build_graph(Word.from_chars("xyz"))))
+        doc = json.loads(emit_graph(build_graph(Word.from_tokens("xyz"))))
         assert doc["vertices"] == ["x", "y", "z"]
         assert doc["edges"] == [["x", "y"], ["x", "z"], ["y", "z"]]
 
     def test_temporal_json_carries_start_points_and_timesteps(self):
-        tg = build_temporal(Word.from_chars("abacbdcedfegfhg"))
+        tg = build_temporal(Word.from_tokens("abacbdcedfegfhg"))
         doc = json.loads(emit_graph(tg))
         assert doc["start_points"] == [1, 3, 7, 11, 15]
         assert len(doc["timesteps"]) == 5
@@ -176,7 +176,7 @@ class TestGraphDocuments:
         # The golden document in key order; the emitted bytes are exactly its
         # two-space indented rendering with a trailing newline.
         expected = json.dumps(json.loads(golden), indent=2) + "\n"
-        assert emit_graph(build_temporal(Word.from_chars(text))) == expected
+        assert emit_graph(build_temporal(Word.from_tokens(text))) == expected
 
     @pytest.mark.parametrize(
         "tokens",
@@ -221,21 +221,21 @@ class TestGraphDocuments:
         )
 
     def test_dot_for_temporal_graph_renders_underlying(self):
-        tg = build_temporal(Word.from_chars("121323"))
+        tg = build_temporal(Word.from_tokens("121323"))
         assert emit_graph(tg, fmt="dot") == emit_graph(tg.base, fmt="dot")
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):
-            emit_graph(build_graph(Word.from_chars("ab")), fmt="yaml")
+            emit_graph(build_graph(Word.from_tokens("ab")), fmt="yaml")
 
     def test_emission_is_deterministic(self):
-        tg = build_temporal(Word.from_chars("12132434"))
-        assert emit_graph(tg) == emit_graph(build_temporal(Word.from_chars("12132434")))
+        tg = build_temporal(Word.from_tokens("12132434"))
+        assert emit_graph(tg) == emit_graph(build_temporal(Word.from_tokens("12132434")))
 
 
 class TestScheduleDocuments:
     def test_round_trip_of_scheduler_output(self):
-        tg = build_temporal(Word.from_chars("121323"))
+        tg = build_temporal(Word.from_tokens("121323"))
         result = schedule_explore(tg, Symbol("1"))
         text = emit_schedule(result.schedule, result.visited_all)
         schedule, visited_all = parse_schedule(text)
@@ -304,7 +304,7 @@ class TestScheduleDocuments:
 
 class TestReportDocuments:
     def test_reports_serialise_with_pass_flag(self):
-        tg = build_temporal(Word.from_chars("xyzxyz"))
+        tg = build_temporal(Word.from_tokens("xyzxyz"))
         doc = json.loads(emit_reports(run_all(tg)))
         assert doc["pass"] is True
         assert [r["lemma_id"] for r in doc["reports"]] == [

@@ -19,16 +19,16 @@ from wordgraph.words import Symbol, Word, power
 
 class TestBuildGraph:
     def test_reference_word_is_a_path(self):
-        g = build_graph(Word.from_chars("abacbdcedfegfhg"))
+        g = build_graph(Word.from_tokens("abacbdcedfegfhg"))
         assert g.edges == path_edges("abcdefgh")
         assert g.vertices == tuple(sorted(syms(*"abcdefgh")))
 
     def test_small_path(self):
-        g = build_graph(Word.from_chars("121323"))
+        g = build_graph(Word.from_tokens("121323"))
         assert g.edges == path_edges("123")
 
     def test_all_single_occurrences_give_complete_graph(self):
-        g = build_graph(Word.from_chars("xyz"))
+        g = build_graph(Word.from_tokens("xyz"))
         assert g.edges == frozenset({edge("x", "y"), edge("x", "z"), edge("y", "z")})
 
     def test_empty_word_rejected(self):
@@ -54,14 +54,14 @@ class TestBuildGraph:
 
     def test_unbalanced_pair_loses_its_edge_under_powers(self):
         # both symbols occur at least twice, yet the edge does not survive
-        w = Word.from_chars("xyxyx")
+        w = Word.from_tokens("xyxyx")
         assert build_graph(w).edges == {edge("x", "y")}
         assert build_graph(power(w, 2)).edges == frozenset()
 
 
 class TestMetrics:
     def test_distance_on_path(self):
-        g = build_graph(Word.from_chars("abacbdcedfegfhg"))
+        g = build_graph(Word.from_tokens("abacbdcedfegfhg"))
         assert _bfs_distances(g, Symbol("a"))[Symbol("h")] == 7
         assert _bfs_distances(g, Symbol("c"))[Symbol("c")] == 0
 
@@ -73,9 +73,9 @@ class TestMetrics:
         assert Symbol("c") not in _bfs_distances(g, Symbol("a"))
 
     def test_diameter_examples(self):
-        assert diameter(build_graph(Word.from_chars("abacbdcedfegfhg"))) == 7
-        assert diameter(build_graph(Word.from_chars("xyz"))) == 1
-        assert diameter(build_graph(Word.from_chars("a"))) == 0
+        assert diameter(build_graph(Word.from_tokens("abacbdcedfegfhg"))) == 7
+        assert diameter(build_graph(Word.from_tokens("xyz"))) == 1
+        assert diameter(build_graph(Word.from_tokens("a"))) == 0
 
     def test_diameter_undefined_when_disconnected(self):
         g = StaticGraph.from_edges(syms("a", "b", "c"), [(Symbol("a"), Symbol("b"))])
@@ -83,9 +83,9 @@ class TestMetrics:
             diameter(g)
 
     def test_min_degree_examples(self):
-        assert min_degree(build_graph(Word.from_chars("abacbdcedfegfhg"))) == 1
-        assert min_degree(build_graph(Word.from_chars("xyz"))) == 2
-        assert min_degree(build_graph(Word.from_chars("a"))) == 0
+        assert min_degree(build_graph(Word.from_tokens("abacbdcedfegfhg"))) == 1
+        assert min_degree(build_graph(Word.from_tokens("xyz"))) == 2
+        assert min_degree(build_graph(Word.from_tokens("a"))) == 0
 
     @given(words(sigma=5, max_size=25))
     def test_distance_symmetry_and_triangle_inequality(self, w):
@@ -110,14 +110,14 @@ class TestMetrics:
 
 class TestSpanningWalk:
     def test_path_from_endpoint_needs_no_backtracking(self):
-        g = build_graph(Word.from_chars("121323"))
+        g = build_graph(Word.from_tokens("121323"))
         assert spanning_walk(g, Symbol("1")) == [
             (Symbol("1"), Symbol("2")),
             (Symbol("2"), Symbol("3")),
         ]
 
     def test_path_from_middle_backtracks_once(self):
-        g = build_graph(Word.from_chars("121323"))
+        g = build_graph(Word.from_tokens("121323"))
         walk = spanning_walk(g, Symbol("2"))
         assert len(walk) == 3
         assert walk[0][0] == Symbol("2")
@@ -132,7 +132,7 @@ class TestSpanningWalk:
         assert walk[-1] == (Symbol("c"), Symbol("z"))
 
     def test_single_vertex_walk_is_empty(self):
-        assert spanning_walk(build_graph(Word.from_chars("a")), Symbol("a")) == []
+        assert spanning_walk(build_graph(Word.from_tokens("a")), Symbol("a")) == []
 
     def test_disconnected_is_not_explorable(self):
         g = StaticGraph.from_edges(syms("a", "b", "c"), [(Symbol("a"), Symbol("b"))])
@@ -140,7 +140,7 @@ class TestSpanningWalk:
             spanning_walk(g, Symbol("a"))
 
     def test_unknown_start(self):
-        g = build_graph(Word.from_chars("ab"))
+        g = build_graph(Word.from_tokens("ab"))
         with pytest.raises(ValueError):
             spanning_walk(g, Symbol("z"))
 

@@ -235,7 +235,7 @@ def counted_searches(monkeypatch):
 
 
 def test_sparse_disconnected_word_runs_no_search(monkeypatch):
-    tg = build_temporal(Word.from_chars("ababcdcd"))
+    tg = build_temporal(Word.from_tokens("ababcdcd"))
     assert len(tg.base.edges) < len(tg.base.vertices) - 1
     calls = counted_searches(monkeypatch)
     run_all(tg)

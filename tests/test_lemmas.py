@@ -17,7 +17,7 @@ from wordgraph.words import Word, power
 
 
 def tg_of(text):
-    return build_temporal(Word.from_chars(text))
+    return build_temporal(Word.from_tokens(text))
 
 
 class TestLetterRecurrence:

@@ -315,7 +315,7 @@ def test_interleaving_certificate_keeps_the_length_guard():
     # comparisons of the spread-1 condition, but their lengths differ by
     # 2; (b, c) passes all of it. So only the length guard can fail the
     # certificate and send the check to the pair scan.
-    word = Word.from_chars("abaca")
+    word = Word.from_tokens("abaca")
     a, b, c = map(Symbol, "abc")
     base = StaticGraph.from_edges([a, b, c], [(a, b), (b, c)])
     tg = TemporalGraph(word, build_temporal(word).start_points, base)

@@ -68,7 +68,7 @@ def test_agrees_on_complete_permutation_powers(n):
 
 
 def test_agrees_on_the_infeasible_example():
-    tg = build_temporal(Word.from_chars(REFERENCE_TEMPORAL_WORD))
+    tg = build_temporal(Word.from_tokens(REFERENCE_TEMPORAL_WORD))
     assert not assert_agrees(tg, Symbol("a")).feasible
 
 

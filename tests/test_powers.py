@@ -110,7 +110,7 @@ def random_powers(rng, count):
     ],
 )
 def test_period_examples(text, period):
-    word = Word.from_chars(text)
+    word = Word.from_tokens(text)
     assert len(word.root) == period == reference_period(word)
 
 
@@ -142,8 +142,8 @@ def test_equal_symbols_that_are_distinct_objects_keep_the_root():
     ],
 )
 def test_power_examples(root, k):
-    word = power(Word.from_chars(root), k)
-    assert len(word.root) == reference_period(Word.from_chars(root))
+    word = power(Word.from_tokens(root), k)
+    assert len(word.root) == reference_period(Word.from_tokens(root))
     assert_matches_references(word)
 
 
@@ -379,7 +379,7 @@ def test_letter_gaps_of_every_short_root_cubed():
     repeats = set()
     for length in range(2, 9):
         for letters in itertools.product("abc", repeat=length):
-            root = Word.from_chars(letters)
+            root = Word.from_tokens(letters)
             if reference_period(root) < length:
                 continue
             tg = build_temporal(power(root, 3))

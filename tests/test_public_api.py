@@ -1,12 +1,15 @@
-"""The package's public surface: the names it exports, and the README's
-library tour run as written."""
+"""The package's public surface: the names it exports, the README's
+library tour run as written, and the README's CLI synopsis against the
+parser."""
 
+import argparse
 import re
 from pathlib import Path
 
 import pytest
 
 import wordgraph
+from wordgraph.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -89,3 +92,34 @@ def test_readme_library_tour_runs_as_written():
     tour = re.search(r"## Library tour\n\n```python\n(.*?)```", text, re.S)
     assert tour is not None
     exec(compile(tour.group(1), str(README), "exec"), {})
+
+
+def subcommands(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_readme_cli_synopsis_matches_the_parser():
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"## CLI reference\n\n```\n(.*?)```", text, re.S)
+    assert block is not None
+    synopsis = block.group(1)
+    gen = re.search(r"^wordgraph gen\s+(.*)$", synopsis, re.M)
+    assert gen is not None
+    named = (
+        set(re.findall(r"^wordgraph (\w+)", synopsis, re.M)),
+        {alternative.split()[0] for alternative in gen.group(1).split("|")},
+        set(re.findall(r"--[a-z][a-z-]*", synopsis)),
+    )
+
+    parser = build_parser()
+    commands = subcommands(parser)
+    families = subcommands(commands["gen"])
+    options = {
+        option
+        for p in [parser, *commands.values(), *families.values()]
+        for action in p._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+    }
+    assert named == (set(commands), set(families), options)

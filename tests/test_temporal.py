@@ -32,7 +32,7 @@ class TestStartPoints:
         ],
     )
     def test_greedy_scan(self, text, expected):
-        assert start_points(Word.from_chars(text)) == expected
+        assert start_points(Word.from_tokens(text)) == expected
 
     def test_empty_word_rejected(self):
         with pytest.raises(ValueError):
@@ -49,7 +49,7 @@ class TestStartPoints:
 
 class TestBuildTemporal:
     def test_reference_word(self):
-        tg = build_temporal(Word.from_chars("abacbdcedfegfhg"))
+        tg = build_temporal(Word.from_tokens("abacbdcedfegfhg"))
         assert tg.lifetime == 5
         assert edge_tokens(edges_at(tg, 1)) == {("a", "b"), ("b", "c")}
         assert edge_tokens(edges_at(tg, 5)) == {("f", "g"), ("g", "h")}
@@ -62,7 +62,7 @@ class TestBuildTemporal:
         ]
 
     def test_small_path(self):
-        tg = build_temporal(Word.from_chars("121323"))
+        tg = build_temporal(Word.from_tokens("121323"))
         assert tg.lifetime == 3
         assert factors(tg) == ["1 2", "1 3 2", "3"]
         assert edge_tokens(edges_at(tg, 1)) == {("1", "2"), ("2", "3")}
@@ -70,7 +70,7 @@ class TestBuildTemporal:
         assert edge_tokens(edges_at(tg, 3)) == {("2", "3")}
 
     def test_single_factor_triangle(self):
-        tg = build_temporal(Word.from_chars("xyz"))
+        tg = build_temporal(Word.from_tokens("xyz"))
         assert tg.lifetime == 1
         assert len(edges_at(tg, 1)) == 3
 
@@ -100,29 +100,29 @@ class TestBuildTemporal:
 
 class TestEdgeActivity:
     def test_examples(self):
-        tg = build_temporal(Word.from_chars("abacbdcedfegfhg"))
+        tg = build_temporal(Word.from_tokens("abacbdcedfegfhg"))
         # an edge is active at t when its next activation after t - 1 is t
         assert next_activation(tg, (Symbol("e"), Symbol("f")), 4) != 5
         assert next_activation(tg, (Symbol("g"), Symbol("h")), 4) == 5
-        triangle = build_temporal(Word.from_chars("xyz"))
+        triangle = build_temporal(Word.from_tokens("xyz"))
         assert next_activation(triangle, (Symbol("x"), Symbol("y")), 0) == 1
 
     def test_errors(self):
-        tg = build_temporal(Word.from_chars("121323"))
+        tg = build_temporal(Word.from_tokens("121323"))
         # the lifetime is 3, so no edge is active at timestep 4
         assert next_activation(tg, (Symbol("1"), Symbol("2")), 3) is None
         with pytest.raises(ValueError, match="self-loop"):
             next_activation(tg, (Symbol("1"), Symbol("1")), 0)
 
     def test_next_activation_examples(self):
-        tg = build_temporal(Word.from_chars("121323"))
+        tg = build_temporal(Word.from_tokens("121323"))
         assert next_activation(tg, (Symbol("1"), Symbol("2")), 0) == 1
         assert next_activation(tg, (Symbol("1"), Symbol("2")), 2) is None
-        triangle = build_temporal(Word.from_chars("xyz"))
+        triangle = build_temporal(Word.from_tokens("xyz"))
         assert next_activation(triangle, (Symbol("x"), Symbol("y")), 1) is None
 
     def test_next_activation_errors(self):
-        tg = build_temporal(Word.from_chars("121323"))
+        tg = build_temporal(Word.from_tokens("121323"))
         with pytest.raises(ValueError):
             next_activation(tg, (Symbol("1"), Symbol("3")), 0)
         with pytest.raises(ValueError):
@@ -141,11 +141,11 @@ class TestEdgeActivity:
 
 class TestUnderlyingAndConnectivity:
     def test_underlying_examples(self):
-        fig = build_temporal(Word.from_chars("abacbdcedfegfhg"))
+        fig = build_temporal(Word.from_tokens("abacbdcedfegfhg"))
         assert fig.base == build_graph(fig.word)
         assert len(fig.base.edges) == 7
-        assert len(build_temporal(Word.from_chars("121323")).base.edges) == 2
-        assert len(build_temporal(Word.from_chars("xyz")).base.edges) == 3
+        assert len(build_temporal(Word.from_tokens("121323")).base.edges) == 2
+        assert len(build_temporal(Word.from_tokens("xyz")).base.edges) == 3
 
     @pytest.mark.parametrize(
         "text, expected",
@@ -157,4 +157,4 @@ class TestUnderlyingAndConnectivity:
         ],
     )
     def test_always_connected(self, text, expected):
-        assert build_temporal(Word.from_chars(text)).always_connected is expected
+        assert build_temporal(Word.from_tokens(text)).always_connected is expected

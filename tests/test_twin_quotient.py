@@ -83,7 +83,7 @@ def test_complete_permutation_power_is_one_closed_class(n):
 def test_equal_neighbourhoods_with_different_letter_times_stay_apart(text, pair):
     # The pair has the same open (baca) or closed (cbac) neighbourhood,
     # but different letter times, so their edges activate differently.
-    tg, classes = classes_of(Word.from_chars(text))
+    tg, classes = classes_of(Word.from_tokens(text))
     a, b = sorted(pair)
     adjacency = tg.base.adjacency
     assert adjacency[a] == adjacency[b] or adjacency[a] | {a} == adjacency[b] | {b}
@@ -97,7 +97,7 @@ def test_witness_on_neighbourhood_classes_split_by_letter_times():
     # class is one vertex. Split pair by pair, the classes would read a, c,
     # b, d; in order of first member they fix the search's state layout,
     # and so which of two optimal walks it returns.
-    tg = build_temporal(Word.from_chars("bacdbcadba"))
+    tg = build_temporal(Word.from_tokens("bacdbcadba"))
     assert _twin_classes(tg.base, tg.letter_times) == [[0], [1], [2], [3]]
     steps = oracle_explore(tg, Symbol("a")).schedule.steps
     assert [(u.token, v.token, t) for (u, v), t in steps] == [
@@ -111,7 +111,7 @@ def witness_cases():
     words = [power(layered_word(6, 3), 6), power(layered_word(8, 4), 8)]
     words.append(Word.from_tokens([f"k{v}" for v in range(5)] * 5))
     words.append(twin_free_word())
-    words.append(Word.from_chars(REFERENCE_TEMPORAL_WORD))
+    words.append(Word.from_tokens(REFERENCE_TEMPORAL_WORD))
     rng = random.Random(5)
     for word in permutation_power_words(60, seed=5):
         word = with_closed_twins(word, rng)

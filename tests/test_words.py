@@ -42,7 +42,7 @@ class TestSymbol:
 
 class TestWord:
     def test_one_based_access(self):
-        w = Word.from_chars("acb")
+        w = Word.from_tokens("acb")
         assert w.occurrences[Symbol("a")] == (1,)
         assert w.occurrences[Symbol("b")] == (3,)
         assert w.symbols[0] == Symbol("a")
@@ -64,7 +64,7 @@ class TestWord:
         w = Word.from_tokens("a b a".split())
         assert w.symbols[0] is w.symbols[2]
         assert w.symbols[0] is not w.symbols[1]
-        chars = Word.from_chars("abab")
+        chars = Word.from_tokens("abab")
         assert chars.symbols[1] is chars.symbols[3]
 
 
@@ -82,12 +82,12 @@ class TestProject:
         ],
     )
     def test_reference_word(self, keep, expected):
-        w = Word.from_chars("acbacbab")
-        assert project(w, syms(*keep)) == Word.from_chars(expected)
+        w = Word.from_tokens("acbacbab")
+        assert project(w, syms(*keep)) == Word.from_tokens(expected)
 
     def test_symbols_absent_from_word_are_allowed(self):
-        w = Word.from_chars("aba")
-        assert project(w, syms("a", "z")) == Word.from_chars("aa")
+        w = Word.from_tokens("aba")
+        assert project(w, syms("a", "z")) == Word.from_tokens("aa")
 
     @given(any_words)
     def test_projecting_onto_own_alphabet_is_identity(self, w):
@@ -101,21 +101,21 @@ class TestProject:
 
 class TestAlternates:
     def test_reference_pairs(self):
-        w = Word.from_chars("acbacbab")
+        w = Word.from_tokens("acbacbab")
         assert alternates(w, Symbol("a"), Symbol("b")) is True
         assert alternates(w, Symbol("b"), Symbol("c")) is False
 
     def test_single_occurrences_alternate(self):
-        assert alternates(Word.from_chars("xy"), Symbol("x"), Symbol("y"))
+        assert alternates(Word.from_tokens("xy"), Symbol("x"), Symbol("y"))
 
     def test_empty_and_one_sided_projections_alternate(self):
-        w = Word.from_chars("aaa")
+        w = Word.from_tokens("aaa")
         assert alternates(w, Symbol("b"), Symbol("c"))
         assert alternates(w, Symbol("a"), Symbol("b")) is False
 
     def test_equal_symbols_rejected(self):
         with pytest.raises(ValueError):
-            alternates(Word.from_chars("ab"), Symbol("a"), Symbol("a"))
+            alternates(Word.from_tokens("ab"), Symbol("a"), Symbol("a"))
 
     @given(any_words, st.sampled_from(syms(*"abcde")), st.sampled_from(syms(*"abcde")))
     def test_symmetry(self, w, x, y):
@@ -142,12 +142,12 @@ class TestPower:
         ],
     )
     def test_examples(self, text, k, expected):
-        assert power(Word.from_chars(text), k) == Word.from_chars(expected)
+        assert power(Word.from_tokens(text), k) == Word.from_tokens(expected)
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_rejects_nonpositive_power(self, k):
         with pytest.raises(ValueError):
-            power(Word.from_chars("ab"), k)
+            power(Word.from_tokens("ab"), k)
 
     @given(words(max_size=12), st.integers(min_value=1, max_value=4))
     def test_positional_formula_at_every_position(self, w, k):
@@ -159,9 +159,9 @@ class TestPower:
 
 class TestOccurrenceIndices:
     def test_examples(self):
-        assert Word.from_chars("abacbdcedfegfhg").occurrences[Symbol("c")] == (4, 7)
-        assert Word.from_chars("acbacbab").occurrences[Symbol("a")] == (1, 4, 7)
-        assert Symbol("c") not in Word.from_chars("ab").occurrences
+        assert Word.from_tokens("abacbdcedfegfhg").occurrences[Symbol("c")] == (4, 7)
+        assert Word.from_tokens("acbacbab").occurrences[Symbol("a")] == (1, 4, 7)
+        assert Symbol("c") not in Word.from_tokens("ab").occurrences
 
     @given(any_words)
     def test_keyed_in_first_occurrence_order(self, w):
